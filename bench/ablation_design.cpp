@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "bench/common.h"
+#include "src/check/differential.h"
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
     composite_ratio.add(
         core::composite_greedy_placement(problem, k_small).customers / opt);
     naive_ratio.add(
-        core::naive_marginal_greedy_placement(problem, k_small).customers / opt);
+        core::lazy_marginal_greedy_placement(problem, k_small).customers / opt);
     coverage_ratio.add(
         core::greedy_coverage_placement(problem, k_small).customers / opt);
     refined_ratio.add(
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
                                            shop, utility);
       core::LazyGreedyStats stats;
       const auto lazy = core::lazy_marginal_greedy_placement(problem, 10, &stats);
-      const auto eager = core::naive_marginal_greedy_placement(problem, 10);
+      const auto eager = check::eager_marginal_greedy(problem, 10);
       if (lazy.nodes != eager.nodes) {
         std::cerr << "lazy/eager divergence — bug!\n";
         return 1;

@@ -89,8 +89,7 @@ void BM_GreedyCoverageVsK(benchmark::State& state) {
   const core::PlacementProblem problem(net, flows, 7, utility);
   for (auto _ : state) {
     benchmark::DoNotOptimize(greedy_coverage_placement(
-        problem, static_cast<std::size_t>(state.range(0)),
-        {.stop_when_no_gain = false}));
+        problem, static_cast<std::size_t>(state.range(0))));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -103,8 +102,7 @@ void BM_CompositeGreedyVsK(benchmark::State& state) {
   const core::PlacementProblem problem(net, flows, 7, utility);
   for (auto _ : state) {
     benchmark::DoNotOptimize(composite_greedy_placement(
-        problem, static_cast<std::size_t>(state.range(0)),
-        {.stop_when_no_gain = false}));
+        problem, static_cast<std::size_t>(state.range(0))));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -182,8 +180,7 @@ void BM_CompositeGreedyTelemetryEnabled(benchmark::State& state) {
   obs::Telemetry telemetry;
   const obs::TelemetryScope scope(telemetry);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(composite_greedy_placement(
-        problem, 8, {.stop_when_no_gain = false}));
+    benchmark::DoNotOptimize(composite_greedy_placement(problem, 8));
   }
 }
 BENCHMARK(BM_CompositeGreedyTelemetryEnabled);

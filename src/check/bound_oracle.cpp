@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "src/check/differential.h"
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
@@ -133,7 +134,7 @@ BoundFuzzReport fuzz_bound_one(std::uint64_t seed,
   // is NOT exempt — the bound dominates per-flow maxima regardless of the
   // evaluator's guarded branch.
   const core::PlacementResult naive =
-      core::naive_marginal_greedy_placement(model, k);
+      eager_marginal_greedy(model, k);
   const core::PlacementResult lazy =
       core::lazy_marginal_greedy_placement(model, k);
   const core::PlacementResult composite =

@@ -11,7 +11,9 @@
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
 #include "src/core/greedy.h"
+#include "src/core/k_policy.h"
 #include "src/core/lazy_greedy.h"
+#include "src/core/parallel_scan.h"
 #include "src/graph/dijkstra.h"  // graph::kUnreachable
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -163,6 +165,20 @@ core::PlacementResult reference_composite(const core::CoverageModel& model,
 
 }  // namespace
 
+core::PlacementResult eager_marginal_greedy(const core::CoverageModel& model,
+                                            std::size_t k) {
+  k = core::checked_budget(model, k, "eager_marginal_greedy");
+  core::PlacementState state(model);
+  const auto n = static_cast<graph::NodeId>(model.num_nodes());
+  for (std::size_t step = 0; step < k; ++step) {
+    const core::detail::ScanBest best = core::detail::best_unplaced(
+        state, n, [&](graph::NodeId v) { return state.gain_if_added(v); });
+    if (best.node == graph::kInvalidNode || best.score <= 0.0) break;
+    state.add(best.node);
+  }
+  return {state.placement(), state.value()};
+}
+
 DiffReport run_differential_checks(const Scenario& scenario,
                                    const DiffOptions& options) {
   DiffReport report;
@@ -177,34 +193,23 @@ DiffReport run_differential_checks(const Scenario& scenario,
   // algorithm below is additionally machine-checked; a violation throws out
   // of the algorithm under test. No-op (but still installable) otherwise.
   const ScopedAuditor auditor({.monotone_utility = monotone});
-  const core::GreedyOptions pad_cov{.stop_when_no_gain = false};
-  const core::CompositeGreedyOptions pad_marg{.stop_when_no_gain = false};
 
   // --- Serial leg: every eager algorithm under a single thread. ---
-  core::PlacementResult cov, naive, comp, cov_pad, naive_pad, clamp_pad;
+  core::PlacementResult cov, naive, comp;
   {
     const ScopedThreads serial(1);
     cov = core::greedy_coverage_placement(model, k);
-    naive = core::naive_marginal_greedy_placement(model, k);
+    naive = eager_marginal_greedy(model, k);
     comp = core::composite_greedy_placement(model, k);
-    cov_pad = core::greedy_coverage_placement(model, k, pad_cov);
-    naive_pad = core::naive_marginal_greedy_placement(model, k, pad_marg);
-    // k-clamp contract: an over-budget k clamps to n instead of throwing,
-    // so padding places every node.
-    clamp_pad = core::greedy_coverage_placement(model, n + 3, pad_cov);
   }
-  check.expect(clamp_pad.nodes.size() == n, "k_clamp_pads_to_n",
-               "placed " + std::to_string(clamp_pad.nodes.size()) + " of " +
-                   std::to_string(n));
 
   // --- Parallel leg: bit-identical for any thread count (all families). ---
   {
     const ScopedThreads parallel(options.parallel_threads);
     check.expect_bitwise_equal(cov, core::greedy_coverage_placement(model, k),
                                "serial_vs_parallel_coverage");
-    check.expect_bitwise_equal(
-        naive, core::naive_marginal_greedy_placement(model, k),
-        "serial_vs_parallel_naive_marginal");
+    check.expect_bitwise_equal(naive, eager_marginal_greedy(model, k),
+                               "serial_vs_parallel_naive_marginal");
     check.expect_bitwise_equal(comp,
                                core::composite_greedy_placement(model, k),
                                "serial_vs_parallel_composite");
@@ -220,24 +225,16 @@ DiffReport run_differential_checks(const Scenario& scenario,
   check.expect(core::evaluate_placement(model, comp.nodes) == comp.customers,
                "composite_value_replays", fmt_result(comp));
 
-  // --- Lazy vs eager (CELF needs submodularity: monotone families only). ---
+  // --- Lazy vs eager (CELF needs submodularity: monotone families only).
+  // The over-budget leg checks the k-clamp contract on the CELF path: k
+  // clamps to n instead of throwing. ---
   if (monotone) {
-    check.expect_bitwise_equal(cov, core::lazy_coverage_placement(model, k),
-                               "lazy_vs_eager_coverage");
     check.expect_bitwise_equal(
         naive, core::lazy_marginal_greedy_placement(model, k),
         "lazy_vs_eager_naive_marginal");
     check.expect_bitwise_equal(
-        cov_pad,
-        core::lazy_coverage_placement(model, k, nullptr, pad_cov),
-        "lazy_vs_eager_coverage_padded");
-    check.expect_bitwise_equal(
-        naive_pad,
-        core::lazy_marginal_greedy_placement(model, k, nullptr, pad_marg),
-        "lazy_vs_eager_naive_padded");
-    check.expect_bitwise_equal(
-        clamp_pad,
-        core::lazy_coverage_placement(model, n + 3, nullptr, pad_cov),
+        eager_marginal_greedy(model, n + 3),
+        core::lazy_marginal_greedy_placement(model, n + 3),
         "lazy_vs_eager_clamped");
   }
 
@@ -284,7 +281,7 @@ DiffReport run_differential_checks(const Scenario& scenario,
     core::PlacementResult naive1;
     {
       const ScopedThreads serial(1);
-      naive1 = core::naive_marginal_greedy_placement(model, 1);
+      naive1 = eager_marginal_greedy(model, 1);
     }
     if (single.node == graph::kInvalidNode) {
       check.expect(naive1.nodes.empty(), "best_single_empty",

@@ -2,9 +2,10 @@
 // implementations of the same placement semantics (DESIGN.md §9).
 //
 // Given a Scenario, run_differential_checks() asserts, among others:
-//   * lazy CELF variants select bit-identically to their eager twins
-//     (placements AND values), zero-gain padding included — monotone
-//     families only, since CELF laziness assumes submodularity;
+//   * the lazy marginal greedy (the production CELF loop) selects
+//     bit-identically to eager_marginal_greedy, its reference below
+//     (placements AND values) — monotone families only, since CELF
+//     laziness assumes submodularity;
 //   * serial (1 thread) and parallel (DiffOptions::parallel_threads)
 //     runs of every scanning greedy are bit-identical — all families;
 //   * the composite greedy matches an independent re-implementation of
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "src/check/scenario.h"
+#include "src/core/problem.h"
 
 namespace rap::check {
 
@@ -48,7 +50,7 @@ struct DiffOptions {
 };
 
 struct DiffFailure {
-  std::string check;   ///< stable check name, e.g. "lazy_vs_eager_coverage"
+  std::string check;   ///< stable check name, e.g. "lazy_vs_eager_clamped"
   std::string detail;  ///< observed values, human-readable
 };
 
@@ -60,6 +62,15 @@ struct DiffReport {
   std::string reproducer_json;
   [[nodiscard]] bool ok() const noexcept { return failures.empty(); }
 };
+
+/// The eager marginal greedy: every step scans all unplaced nodes for the
+/// largest gain_if_added (core/parallel_scan.h, ties to the lowest id) and
+/// stops once nothing gains. The reference that
+/// core::lazy_marginal_greedy_placement must reproduce bitwise on monotone
+/// utilities; on others the two may legitimately differ. Budget contract:
+/// core/k_policy.h.
+[[nodiscard]] core::PlacementResult eager_marginal_greedy(
+    const core::CoverageModel& model, std::size_t k);
 
 /// Runs every applicable differential check on the scenario.
 [[nodiscard]] DiffReport run_differential_checks(const Scenario& scenario,

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/core/k_policy.h"
+
 namespace rap::core {
 namespace {
 
@@ -92,9 +94,7 @@ double InterestMatrix::operator()(traffic::FlowIndex flow, AdKind ad) const {
 AdPlacementResult multi_ad_greedy_placement(const CoverageModel& model,
                                             const InterestMatrix& interest,
                                             std::size_t k) {
-  if (k == 0) {
-    throw std::invalid_argument("multi_ad_greedy_placement: k must be > 0");
-  }
+  k = checked_budget(model, k, "multi_ad_greedy_placement");
   check_compatible(model, interest);
   AdState state(model, interest);
   AdPlacementResult result;

@@ -4,16 +4,11 @@
 #include <stdexcept>
 
 #include "src/core/evaluator.h"
+#include "src/core/k_policy.h"
 #include "src/geo/bbox.h"
 
 namespace rap::core {
 namespace {
-
-void check_k(std::size_t k, const char* who) {
-  if (k == 0) {
-    throw std::invalid_argument(std::string(who) + ": k must be > 0");
-  }
-}
 
 // Top-k node ids by score, descending, ties towards the lowest id.
 template <typename ScoreFn>
@@ -38,7 +33,7 @@ PlacementResult top_k_by(const CoverageModel& model, std::size_t k,
 
 PlacementResult max_cardinality_placement(const CoverageModel& model,
                                           std::size_t k) {
-  check_k(k, "max_cardinality_placement");
+  k = checked_budget(model, k, "max_cardinality_placement");
   return top_k_by(model, k, [&](graph::NodeId v) {
     return static_cast<double>(model.passing_flow_count(v));
   });
@@ -46,7 +41,7 @@ PlacementResult max_cardinality_placement(const CoverageModel& model,
 
 PlacementResult max_vehicles_placement(const CoverageModel& model,
                                        std::size_t k) {
-  check_k(k, "max_vehicles_placement");
+  k = checked_budget(model, k, "max_vehicles_placement");
   return top_k_by(model, k, [&](graph::NodeId v) {
     return model.passing_vehicles(v);
   });
@@ -54,7 +49,7 @@ PlacementResult max_vehicles_placement(const CoverageModel& model,
 
 PlacementResult max_customers_placement(const CoverageModel& model,
                                         std::size_t k) {
-  check_k(k, "max_customers_placement");
+  k = checked_budget(model, k, "max_customers_placement");
   PlacementState empty(model);
   return top_k_by(model, k, [&](graph::NodeId v) {
     return empty.uncovered_gain(v);  // singleton gain: every flow is uncovered
@@ -63,7 +58,7 @@ PlacementResult max_customers_placement(const CoverageModel& model,
 
 PlacementResult random_placement(const CoverageModel& model, std::size_t k,
                                  util::Rng& rng) {
-  check_k(k, "random_placement");
+  k = checked_budget(model, k, "random_placement");
   if (model.shop() == graph::kInvalidNode) {
     throw std::invalid_argument("random_placement: needs a single-shop problem");
   }

@@ -8,33 +8,21 @@
 //        (the RAP-overlap factor).
 // The better of the two candidates receives the RAP. With the threshold
 // utility candidate (ii) is always worthless, so Algorithm 2 reduces to
-// Algorithm 1 exactly as the paper observes.
-//
-// NaiveMarginalGreedy — the strawman discussed around Fig. 4: maximise the
-// plain total marginal gain. It carries no approximation bound (the paper's
-// counter-example is reproduced in tests) but is a useful ablation baseline.
+// Algorithm 1 exactly as the paper observes. The plain marginal greedy
+// discussed around Fig. 4 is core/lazy_greedy.h's
+// lazy_marginal_greedy_placement.
 #pragma once
 
 #include "src/core/problem.h"
 
 namespace rap::core {
 
-struct CompositeGreedyOptions {
-  bool stop_when_no_gain = true;
-};
-
-/// Algorithm 2. Budget contract (core/k_policy.h): k == 0 throws
-/// std::invalid_argument, k > num_nodes clamps and sets the
-/// "placement.k_clamped" telemetry gauge. Deterministic (ties towards the
-/// lowest node id; candidate (i) wins exact ties with candidate (ii),
-/// matching the listing's order).
+/// Algorithm 2; stops once neither candidate gains. Budget contract
+/// (core/k_policy.h): k == 0 throws std::invalid_argument, k > num_nodes
+/// clamps and sets the "placement.k_clamped" telemetry gauge.
+/// Deterministic (ties towards the lowest node id; candidate (i) wins exact
+/// ties with candidate (ii), matching the listing's order).
 [[nodiscard]] PlacementResult composite_greedy_placement(
-    const CoverageModel& model, std::size_t k,
-    const CompositeGreedyOptions& options = {});
-
-/// The unbounded strawman: argmax of gain_if_added at every step.
-[[nodiscard]] PlacementResult naive_marginal_greedy_placement(
-    const CoverageModel& model, std::size_t k,
-    const CompositeGreedyOptions& options = {});
+    const CoverageModel& model, std::size_t k);
 
 }  // namespace rap::core

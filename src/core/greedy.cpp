@@ -8,8 +8,7 @@
 namespace rap::core {
 
 PlacementResult greedy_coverage_placement(const CoverageModel& model,
-                                          std::size_t k,
-                                          const GreedyOptions& options) {
+                                          std::size_t k) {
   k = checked_budget(model, k, "greedy_coverage_placement");
   const obs::Span span("greedy_coverage");
   std::uint64_t iterations = 0;
@@ -20,8 +19,7 @@ PlacementResult greedy_coverage_placement(const CoverageModel& model,
     const detail::ScanBest best = detail::best_unplaced(
         state, n, [&](graph::NodeId v) { return state.uncovered_gain(v); });
     evaluations += best.evaluations;
-    if (best.node == graph::kInvalidNode) break;
-    if (best.score <= 0.0 && options.stop_when_no_gain) break;
+    if (best.node == graph::kInvalidNode || best.score <= 0.0) break;
     state.add(best.node);
     ++iterations;
     obs::observe("placement.selected_gain", best.score);

@@ -12,19 +12,13 @@
 
 namespace rap::core {
 
-struct GreedyOptions {
-  /// Stop as soon as no intersection yields positive gain (the paper's
-  /// example terminates early once every flow is covered). When false,
-  /// exactly k RAPs are placed, padding with zero-gain intersections.
-  bool stop_when_no_gain = true;
-};
-
-/// Places up to k RAPs with Algorithm 1. Budget contract (core/k_policy.h):
-/// k == 0 throws std::invalid_argument, k > num_nodes clamps to num_nodes
-/// and sets the "placement.k_clamped" telemetry gauge. Ties break towards
-/// the lowest node id (deterministic).
+/// Places up to k RAPs with Algorithm 1, stopping as soon as no
+/// intersection yields positive gain (the paper's example terminates early
+/// once every flow is covered). Budget contract (core/k_policy.h): k == 0
+/// throws std::invalid_argument, k > num_nodes clamps to num_nodes and sets
+/// the "placement.k_clamped" telemetry gauge. Ties break towards the lowest
+/// node id (deterministic).
 [[nodiscard]] PlacementResult greedy_coverage_placement(
-    const CoverageModel& model, std::size_t k,
-    const GreedyOptions& options = {});
+    const CoverageModel& model, std::size_t k);
 
 }  // namespace rap::core

@@ -1,21 +1,22 @@
 // The optimizer family's shared budget (`k`) contract.
 //
-// Every placement entry point — eager/lazy/naive/composite greedy,
-// exhaustive search, and the two-stage Manhattan algorithms — validates its
-// RAP budget through checked_budget():
+// Every public placement entry point validates its RAP budget through
+// checked_budget(): Algorithms 1 and 2 (the eager argmax scan), the lazy
+// marginal greedy (the CELF loop), the baselines, stochastic and multi-ad
+// greedy, exhaustive search, the two-stage Manhattan algorithms, the serve
+// warm start and the exact bound tier. The contract:
 //   * k == 0 throws std::invalid_argument (an empty budget is a caller bug,
 //     not a degenerate instance);
 //   * k > num_nodes clamps to num_nodes — no placement can use more RAPs
 //     than there are intersections — records the clamped-away surplus on
 //     the ambient telemetry gauge "placement.k_clamped", and bumps the
 //     "placement.k_clamp_events" counter once per clamp (both no-ops
-//     without an installed obs::TelemetryScope). Entry points that compose
-//     other entry points (e.g. the exact-bound tier driving a greedy
-//     incumbent) clamp at the outermost layer, so the counter observes
-//     exactly one event per top-level solve.
-// Before this header each algorithm hand-rolled the k == 0 throw and
-// silently looped past num_nodes; the shared helper makes the contract
-// uniform and observable.
+//     without an installed obs::TelemetryScope).
+// The shared kernels (detail::best_unplaced, core::celf_extend) never call
+// it: they take the budget as given. Entry points that compose other entry
+// points (e.g. the exact-bound tier driving a greedy incumbent) pass an
+// already-clamped k inward, so the counter observes exactly one event per
+// top-level solve.
 #pragma once
 
 #include <cstddef>

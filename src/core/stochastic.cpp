@@ -3,7 +3,8 @@
 #include <stdexcept>
 
 #include "src/core/evaluator.h"
-
+#include "src/core/k_policy.h"
+#include "src/core/parallel_scan.h"
 
 namespace rap::core {
 namespace {
@@ -27,10 +28,8 @@ void validate_scenarios(std::span<const CoverageModel* const> scenarios) {
 
 PlacementResult stochastic_greedy_placement(
     std::span<const CoverageModel* const> scenarios, std::size_t k) {
-  if (k == 0) {
-    throw std::invalid_argument("stochastic_greedy_placement: k must be > 0");
-  }
   validate_scenarios(scenarios);
+  k = checked_budget(*scenarios.front(), k, "stochastic_greedy_placement");
 
   std::vector<PlacementState> states;
   states.reserve(scenarios.size());
@@ -41,22 +40,19 @@ PlacementResult stochastic_greedy_placement(
       static_cast<graph::NodeId>(scenarios.front()->num_nodes());
   Placement placed;
   for (std::size_t step = 0; step < k && placed.size() < n; ++step) {
-    graph::NodeId best = graph::kInvalidNode;
-    double best_gain = 0.0;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (states.front().contains(v)) continue;
-      double gain = 0.0;
-      for (const PlacementState& state : states) {
-        gain += state.gain_if_added(v);
-      }
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = v;
-      }
-    }
-    if (best == graph::kInvalidNode) break;
-    for (PlacementState& state : states) state.add(best);
-    placed.push_back(best);
+    // Every state holds the same placement, so the first one stands for
+    // all in the scan's placed-node test.
+    const detail::ScanBest best =
+        detail::best_unplaced(states.front(), n, [&](graph::NodeId v) {
+          double gain = 0.0;
+          for (const PlacementState& state : states) {
+            gain += state.gain_if_added(v);
+          }
+          return gain;
+        });
+    if (best.node == graph::kInvalidNode || best.score <= 0.0) break;
+    for (PlacementState& state : states) state.add(best.node);
+    placed.push_back(best.node);
   }
 
   double total = 0.0;

@@ -10,6 +10,7 @@
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/greedy.h"
+#include "src/core/lazy_greedy.h"
 #include "src/core/problem.h"
 #include "src/geo/bbox.h"
 #include "src/manhattan/flexible_eval.h"
@@ -54,7 +55,7 @@ core::Placement nested_order(AlgorithmId id, const core::CoverageModel& model,
     case AlgorithmId::kCompositeGreedy:
       return core::composite_greedy_placement(model, max_k).nodes;
     case AlgorithmId::kNaiveGreedy:
-      return core::naive_marginal_greedy_placement(model, max_k).nodes;
+      return core::lazy_marginal_greedy_placement(model, max_k).nodes;
     case AlgorithmId::kMaxCardinality:
       return core::max_cardinality_placement(model, max_k).nodes;
     case AlgorithmId::kMaxVehicles:

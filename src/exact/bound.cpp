@@ -4,10 +4,10 @@
 #include <cmath>
 #include <limits>
 
-#include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
 #include "src/core/k_policy.h"
+#include "src/core/lazy_greedy.h"
 
 namespace rap::exact {
 namespace {
@@ -86,7 +86,7 @@ Bound lagrangian_bound(const core::CoverageModel& model,
   bound.kind = BoundKind::kLagrangian;
   {
     core::PlacementResult greedy =
-        core::naive_marginal_greedy_placement(model, network.k);
+        core::lazy_marginal_greedy_placement(model, network.k);
     bound.certificate.nodes = std::move(greedy.nodes);
     // Replayable certificate: value the greedy set through
     // evaluate_placement, not the greedy's own incremental accumulator.

@@ -10,6 +10,7 @@
 #include "src/core/exhaustive.h"
 #include "src/core/filtered.h"
 #include "src/core/k_policy.h"
+#include "src/core/lazy_greedy.h"
 #include "src/manhattan/flow_class.h"
 
 namespace rap::manhattan {
@@ -27,25 +28,10 @@ core::PlacementResult small_k_placement(const core::CoverageModel& model,
 }
 
 // Greedily extends `state` by up to `budget` RAPs maximising the marginal
-// gain on `model`; stops when nothing gains. Used with the straight-flow
+// gain on its model; stops when nothing gains. Used with the straight-flow
 // filter for stage 2 and with the full model for the leftover budget.
-void greedy_extend(const core::CoverageModel& model,
-                   core::PlacementState& state, std::size_t budget) {
-  const auto n = static_cast<graph::NodeId>(model.num_nodes());
-  for (std::size_t step = 0; step < budget; ++step) {
-    graph::NodeId best = graph::kInvalidNode;
-    double best_gain = 0.0;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (state.contains(v)) continue;
-      const double gain = state.gain_if_added(v);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = v;
-      }
-    }
-    if (best == graph::kInvalidNode) break;
-    state.add(best);
-  }
+void greedy_extend(core::PlacementState& state, std::size_t budget) {
+  (void)core::celf_extend(state, budget, {core::marginal_gains(state)});
 }
 
 // Mask of straight flows on the ideal grid.
@@ -92,7 +78,7 @@ core::PlacementResult finish(const core::CoverageModel& model,
   core::PlacementState full(model);
   for (const graph::NodeId v : staged.placement()) full.add(v);
   if (options.spend_leftover_budget && full.placement().size() < k) {
-    greedy_extend(model, full, k - full.placement().size());
+    greedy_extend(full, k - full.placement().size());
   }
   return {full.placement(), full.value()};
 }
@@ -127,7 +113,7 @@ core::PlacementResult two_stage_grid_placement(const GridCoverageModel& model,
   const core::FilteredCoverageModel straight(model, straight_mask_grid(model));
   core::PlacementState straight_state(straight);
   for (const graph::NodeId v : state.placement()) straight_state.add(v);
-  greedy_extend(straight, straight_state, k - state.placement().size());
+  greedy_extend(straight_state, k - state.placement().size());
   return finish(model, straight_state, k, options);
 }
 
@@ -162,7 +148,7 @@ core::PlacementResult two_stage_network_placement(
       model, straight_mask_network(model, region, options.alignment_tol));
   core::PlacementState straight_state(straight);
   for (const graph::NodeId v : state.placement()) straight_state.add(v);
-  greedy_extend(straight, straight_state, k - state.placement().size());
+  greedy_extend(straight_state, k - state.placement().size());
   return finish(model, straight_state, k, options);
 }
 

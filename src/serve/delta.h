@@ -3,8 +3,9 @@
 // A session mutates its flow set through three delta operations — add_flow,
 // remove_flow, scale_flow — and re-places after each batch. Re-running the
 // lazy greedy from scratch repeats the expensive part: the initial full
-// gain scan over every intersection. The warm-start engine skips it by
-// seeding the CELF heap with *audited upper bounds* on the round-0 gains:
+// gain scan over every intersection. The warm start skips it by starting
+// the library's one CELF loop (core::celf_extend, src/core/lazy_greedy.h)
+// from *audited upper bounds* on the round-0 gains instead of exact ones:
 //
 //   seed[v] = stored round-0 gain of v  (exact after any full run)
 //           + Σ per-delta gain-increase bounds applied since
@@ -15,14 +16,17 @@
 // the seeds are valid CELF upper bounds and the warm run selects EXACTLY
 // the placement of lazy_marginal_greedy_placement (equal gains still break
 // towards the lowest node id), with the value bit-identical because the
-// PlacementState::add sequence is identical.
+// PlacementState::add sequence is identical. A cold run is the same loop
+// from exact round-0 gains, i.e. lazy_marginal_greedy_placement itself.
 //
-// The bound is *audited*, not trusted: every re-evaluation checks the fresh
-// gain against the node's seed. A fresh gain above seed + slack means the
-// stored bounds were wrong (a delta was not accounted, or the utility is
-// not monotone) — the engine then discards the warm state and falls back to
-// a full from-scratch run, so a violated assumption costs time, never
-// correctness. Fallbacks are counted ("serve.warm_start.fallbacks").
+// The bound is *audited*, not trusted: the loop's re-evaluation hook
+// checks every fresh gain against the node's seed. A fresh gain above
+// seed + slack means the stored bounds were wrong (a delta was not
+// accounted, or the utility is not monotone) — the hook aborts the run and
+// the engine falls back to a full from-scratch run, so a violated
+// assumption costs time, never correctness. Fallbacks are counted
+// ("serve.warm_start.fallbacks"). The same hook enforces the request
+// deadline and records exact round-0 gains for the next warm start.
 //
 // Per-delta gain-increase bounds (gain_increase_bound):
 //   add_flow f        — a new flow can raise a round-0 gain by at most its

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/composite_greedy.h"
+#include "src/core/lazy_greedy.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -42,7 +42,7 @@ class AdSelectionFig4 : public ::testing::Test {
 TEST_F(AdSelectionFig4, SingleUniformAdMatchesNaiveGreedy) {
   const InterestMatrix interest = InterestMatrix::uniform(4, 1);
   const AdPlacementResult multi = multi_ad_greedy_placement(problem_, interest, 2);
-  const PlacementResult single = naive_marginal_greedy_placement(problem_, 2);
+  const PlacementResult single = lazy_marginal_greedy_placement(problem_, 2);
   ASSERT_EQ(multi.raps.size(), single.nodes.size());
   for (std::size_t i = 0; i < multi.raps.size(); ++i) {
     EXPECT_EQ(multi.raps[i].node, single.nodes[i]);

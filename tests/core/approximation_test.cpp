@@ -12,6 +12,7 @@
 #include "src/core/composite_greedy.h"
 #include "src/core/exhaustive.h"
 #include "src/core/greedy.h"
+#include "src/core/lazy_greedy.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -85,7 +86,7 @@ TEST_P(ApproximationRatios, GreedyNeverExceedsOptimum) {
         exhaustive_optimal_placement(problem, k, {5'000'000}).customers;
     EXPECT_LE(composite_greedy_placement(problem, k).customers, opt + 1e-9);
     EXPECT_LE(greedy_coverage_placement(problem, k).customers, opt + 1e-9);
-    EXPECT_LE(naive_marginal_greedy_placement(problem, k).customers, opt + 1e-9);
+    EXPECT_LE(lazy_marginal_greedy_placement(problem, k).customers, opt + 1e-9);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
+#include "src/core/lazy_greedy.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -68,7 +69,7 @@ TEST(Budgeted, UnitCostsAtLeastAsGoodAsNaiveGreedyAtK) {
     const double budgeted =
         budgeted_placement(problem, costs, static_cast<double>(k)).customers;
     const double naive =
-        naive_marginal_greedy_placement(problem, k).customers;
+        lazy_marginal_greedy_placement(problem, k).customers;
     EXPECT_GE(budgeted, naive - 1e-9) << "k=" << k;
   }
 }
@@ -112,7 +113,7 @@ TEST(Budgeted, HugeBudgetMatchesUnconstrainedGreedy) {
   const PlacementProblem problem(fig.net, fig.flows, Fig4::shop, utility);
   const std::vector<double> costs = unit_costs(problem);
   const PlacementResult budgeted = budgeted_placement(problem, costs, 1e6);
-  const PlacementResult greedy = naive_marginal_greedy_placement(problem, 6);
+  const PlacementResult greedy = lazy_marginal_greedy_placement(problem, 6);
   EXPECT_DOUBLE_EQ(budgeted.customers, greedy.customers);
 }
 

@@ -6,6 +6,7 @@
 
 #include "src/core/evaluator.h"
 #include "src/core/greedy.h"
+#include "src/core/lazy_greedy.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -16,7 +17,7 @@ TEST(CompositeGreedy, RejectsZeroK) {
   const traffic::LinearUtility utility(6.0);
   const PlacementProblem problem(fig.net, fig.flows, 0, utility);
   EXPECT_THROW(composite_greedy_placement(problem, 0), std::invalid_argument);
-  EXPECT_THROW(naive_marginal_greedy_placement(problem, 0),
+  EXPECT_THROW(lazy_marginal_greedy_placement(problem, 0),
                std::invalid_argument);
 }
 
@@ -113,7 +114,7 @@ TEST(NaiveGreedy, ValueMatchesEvaluator) {
   const auto flows = testing::random_flows(net, 18, rng);
   const traffic::LinearUtility utility(7.0);
   const PlacementProblem problem(net, flows, 6, utility);
-  const PlacementResult result = naive_marginal_greedy_placement(problem, 4);
+  const PlacementResult result = lazy_marginal_greedy_placement(problem, 4);
   EXPECT_NEAR(result.customers, evaluate_placement(problem, result.nodes), 1e-9);
 }
 
@@ -125,17 +126,6 @@ TEST(CompositeGreedy, StopsWhenNothingGains) {
   const PlacementProblem problem(net, flows, 0, utility);
   const PlacementResult result = composite_greedy_placement(problem, 3);
   EXPECT_EQ(result.nodes.size(), 1u);  // one RAP covers everything
-}
-
-TEST(CompositeGreedy, PlacesAllKWhenAskedTo) {
-  const auto net = testing::line_network(4);
-  std::vector<traffic::TrafficFlow> flows;
-  flows.push_back(traffic::make_shortest_path_flow(net, 0, 1, 5.0));
-  const traffic::ThresholdUtility utility(100.0);
-  const PlacementProblem problem(net, flows, 0, utility);
-  CompositeGreedyOptions options;
-  options.stop_when_no_gain = false;
-  EXPECT_EQ(composite_greedy_placement(problem, 3, options).nodes.size(), 3u);
 }
 
 }  // namespace

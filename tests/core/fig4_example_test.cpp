@@ -16,6 +16,7 @@
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
 #include "src/core/greedy.h"
+#include "src/core/lazy_greedy.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -53,7 +54,7 @@ TEST_F(Fig4Example, Algorithm1TerminatesWhenAllCovered) {
 
 TEST_F(Fig4Example, NaiveMarginalGreedyGetsSeven) {
   const PlacementResult result =
-      naive_marginal_greedy_placement(linear_problem_, 2);
+      lazy_marginal_greedy_placement(linear_problem_, 2);
   EXPECT_EQ(result.nodes[0], Fig4::V3);  // first step: gain 5
   EXPECT_NEAR(result.customers, 7.0, 1e-12);
 }

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
+#include "src/core/lazy_greedy.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -62,7 +62,7 @@ TEST(Stochastic, SingleScenarioEqualsNaiveGreedy) {
   const PlacementProblem problem(inst.net, inst.flows, 3, utility);
   const std::vector<const CoverageModel*> one{&problem};
   const PlacementResult stochastic = stochastic_greedy_placement(one, 4);
-  const PlacementResult plain = naive_marginal_greedy_placement(problem, 4);
+  const PlacementResult plain = lazy_marginal_greedy_placement(problem, 4);
   EXPECT_EQ(stochastic.nodes, plain.nodes);
   EXPECT_NEAR(stochastic.customers, plain.customers, 1e-12);
 }
@@ -75,7 +75,7 @@ TEST(Stochastic, ZeroNoiseScenariosEqualNominal) {
   const auto pointers = as_pointers(scenarios);
   const PlacementProblem nominal(inst.net, inst.flows, 2, utility);
   const PlacementResult saa = stochastic_greedy_placement(pointers, 3);
-  const PlacementResult plain = naive_marginal_greedy_placement(nominal, 3);
+  const PlacementResult plain = lazy_marginal_greedy_placement(nominal, 3);
   EXPECT_EQ(saa.nodes, plain.nodes);
   EXPECT_NEAR(saa.customers, plain.customers, 1e-9);
 }
@@ -105,7 +105,7 @@ TEST(Stochastic, BeatsNominalPlanOnTheSampledAverage) {
     const auto pointers = as_pointers(scenarios);
     const PlacementProblem nominal(inst.net, inst.flows, 4, utility);
     const Placement nominal_nodes =
-        naive_marginal_greedy_placement(nominal, 3).nodes;
+        lazy_marginal_greedy_placement(nominal, 3).nodes;
     saa_total += stochastic_greedy_placement(pointers, 3).customers;
     nominal_total += evaluate_scenario_average(pointers, nominal_nodes);
   }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/check/differential.h"
 #include "src/citygen/grid_city.h"
 #include "src/citygen/partial_grid_city.h"
 #include "src/citygen/radial_city.h"
@@ -96,13 +97,10 @@ TEST(ParallelDeterminism, PlacementAlgorithmsAreThreadCountInvariant) {
         return core::composite_greedy_placement(problem, kK);
       });
       expect_identical_placements(tag + " naive", [&] {
-        return core::naive_marginal_greedy_placement(problem, kK);
+        return check::eager_marginal_greedy(problem, kK);
       });
       expect_identical_placements(tag + " lazy-marginal", [&] {
         return core::lazy_marginal_greedy_placement(problem, kK);
-      });
-      expect_identical_placements(tag + " lazy-coverage", [&] {
-        return core::lazy_coverage_placement(problem, kK);
       });
       expect_identical_placements(tag + " local-search", [&] {
         return core::greedy_with_local_search(problem, kK).placement;
