@@ -1,16 +1,17 @@
 // Metro-scale placement bench (DESIGN.md §13): a ~10^5-intersection grid
-// city with 10^5 corridor flows, priced by the oracle-backed detour engine
-// (ALT oracle + sparse distance cache + parallel warm) and placed with the
-// lazy greedy — end to end without ever materialising the n^2 distance
-// matrix, which at this scale would be ~80 GB.
+// city with 10^5 corridor flows, priced by the production "alt" detour
+// engine (make_detour_engine: ALT preprocessing plus the shop's two
+// Dijkstra trees) and placed with the lazy greedy — end to end without
+// ever materialising the n^2 distance matrix, which at this scale would be
+// ~80 GB.
 //
 // Writes BENCH_scale.json in the rap.bench.v1 schema (bench/common.h) so
 // tools/bench_compare gates the numbers against bench/baselines/: node and
-// flow counts, the objective, warm/cache accounting and the oracle's
-// preprocessing footprint are deterministic (strict tolerance); wall times
-// and the rss-vs-dense ratio are loose. --max-wall-s / --max-rss-mb turn
-// the run into a hard budget check (exit 1 on breach) — the CI scale-smoke
-// job runs a reduced instance under exactly that contract.
+// flow counts, the objective and the oracle's preprocessing footprint are
+// deterministic (strict tolerance); wall times and the rss-vs-dense ratio
+// are loose. --max-wall-s / --max-rss-mb turn the run into a hard budget
+// check (exit 1 on breach) — the CI scale-smoke job runs a reduced
+// instance under exactly that contract.
 //
 //   scale [--side=317] [--flows=100000] [--k=8] [--landmarks=8]
 //         [--max-trip=60] [--out=BENCH_scale.json]
@@ -31,7 +32,6 @@
 #include "src/core/lazy_greedy.h"
 #include "src/core/problem.h"
 #include "src/graph/oracle.h"
-#include "src/graph/oracle_cache.h"
 #include "src/traffic/oracle_detour.h"
 #include "src/traffic/utility.h"
 #include "src/util/cli.h"
@@ -146,21 +146,21 @@ int main(int argc, char** argv) {
 
     const graph::NodeId shop = city.center_node();
 
-    // Oracle engine: ALT preprocessing (2L Dijkstra tables, O(L*n) memory)
-    // plus a parallel cache warm of every distance the flows will query.
+    // The production engine: ALT preprocessing (2L Dijkstra tables, O(L*n)
+    // memory) plus the shop's reverse and forward Dijkstra trees.
     stage = Clock::now();
-    const auto oracle = std::make_shared<graph::AltOracle>(
-        net, graph::AltParams{landmarks, 1});
-    const auto cache = std::make_shared<graph::SparseDistanceCache>();
-    auto engine = std::make_unique<traffic::OracleDetourCalculator>(
-        net, oracle, shop, traffic::DetourMode::kAlongPath, cache);
-    engine->warm(flows);
+    traffic::DetourEnginePolicy policy;
+    policy.engine = "alt";
+    policy.oracle.landmarks = landmarks;
+    const traffic::DetourEngine engine =
+        traffic::make_detour_engine(net, shop, flows, policy);
     const double engine_build_ms = ms_since(stage);
 
     stage = Clock::now();
     const traffic::LinearUtility utility(3'000.0);
-    const core::PlacementProblem problem(net, std::move(flows), shop, utility,
-                                         std::move(engine));
+    const core::PlacementProblem problem(
+        net, std::move(flows), shop, utility,
+        std::make_unique<traffic::SharedDetours>(engine.detours));
     const double problem_build_ms = ms_since(stage);
 
     stage = Clock::now();
@@ -177,7 +177,6 @@ int main(int argc, char** argv) {
     // far below 1 (i.e. peak RSS sublinear in n^2).
     const double dense_matrix_mb = n * n * 8.0 / (1024.0 * 1024.0);
     const double rss_vs_dense = rss_mb > 0.0 ? rss_mb / dense_matrix_mb : 0.0;
-    const graph::SparseDistanceCache::Stats cache_stats = cache->stats();
 
     std::vector<bench::BenchMetric> metrics;
     metrics.push_back({"scale.nodes", n, "count", false});
@@ -185,14 +184,11 @@ int main(int argc, char** argv) {
                        "count", false});
     metrics.push_back({"scale.customers", placement.customers, "customers",
                        false});
-    metrics.push_back({"scale.warm_pairs",
-                       static_cast<double>(cache_stats.insertions), "count",
-                       false});
     metrics.push_back({"scale.gain_evaluations",
                        static_cast<double>(greedy_stats.gain_evaluations),
                        "count", true});
     metrics.push_back({"scale.oracle_memory_mb",
-                       static_cast<double>(oracle->memory_bytes()) /
+                       static_cast<double>(engine.oracle->memory_bytes()) /
                            (1024.0 * 1024.0),
                        "mb", true});
     metrics.push_back({"scale.city_build_ms", city_build_ms, "ms", true});
@@ -220,8 +216,7 @@ int main(int argc, char** argv) {
     std::cout << "scale: " << net.num_nodes() << " nodes, "
               << problem.num_flows() << " flows, k=" << k << "\n"
               << "  city " << city_build_ms << " ms, flows " << flows_build_ms
-              << " ms, engine " << engine_build_ms << " ms (warm "
-              << cache_stats.insertions << " pairs), problem "
+              << " ms, engine " << engine_build_ms << " ms, problem "
               << problem_build_ms << " ms, place " << place_ms << " ms\n"
               << "  objective " << placement.customers << " customers, "
               << greedy_stats.gain_evaluations << " gain evaluation(s)\n"

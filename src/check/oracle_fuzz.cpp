@@ -119,6 +119,38 @@ std::unique_ptr<core::PlacementProblem> build_oracle_problem(
       std::move(engine));
 }
 
+/// The production factory under every engine name must price and place
+/// bitwise like its "dijkstra" engine: the engine name may only change
+/// which oracle is built, never an answer.
+void check_engines(const Scenario& scenario, const OracleFuzzOptions& options,
+                   OracleFuzzReport& report) {
+  traffic::DetourEnginePolicy policy;
+  policy.oracle.landmarks = options.landmarks;
+  policy.oracle.landmark_seed = scenario.seed;
+  const auto problem_for = [&](const std::string& engine) {
+    policy.engine = engine;
+    return std::make_unique<core::PlacementProblem>(
+        scenario.net, scenario.flows, scenario.shop, *scenario.utility,
+        std::make_unique<traffic::SharedDetours>(
+            traffic::make_detour_engine(scenario.net, scenario.shop,
+                                        scenario.flows, policy)
+                .detours));
+  };
+  const std::unique_ptr<core::PlacementProblem> reference =
+      problem_for("dijkstra");
+  const core::PlacementResult want =
+      core::composite_greedy_placement(*reference, scenario.k);
+  for (const char* engine : {"dense", "bidijkstra", "alt"}) {
+    const std::unique_ptr<core::PlacementProblem> candidate =
+        problem_for(engine);
+    check_detours(scenario, reference->detours(), candidate->detours(),
+                  std::string("engine_detours_") + engine, report);
+    check_placements(
+        want, core::composite_greedy_placement(*candidate, scenario.k),
+        std::string("engine_composite_") + engine, report);
+  }
+}
+
 }  // namespace
 
 OracleFuzzReport fuzz_oracle_one(std::uint64_t seed,
@@ -182,6 +214,8 @@ OracleFuzzReport fuzz_oracle_one(std::uint64_t seed,
       core::composite_greedy_placement(dense_problem, scenario->k),
       core::composite_greedy_placement(*oracle_problem, scenario->k),
       "placement_composite_dense_vs_oracle", report);
+
+  check_engines(*scenario, options, report);
 
   // Parallel leg: rebuild + re-place with the worker pool engaged (warm()
   // chunks, APSP row sweep, greedy scans); everything must stay bitwise.

@@ -3,6 +3,9 @@
 // backend must reproduce the dense APSP reference *bitwise* — point-to-point
 // distances, per-flow detours in both detour modes, and the placements and
 // objective values built on top of them. The family also pins:
+//   * make_detour_engine under every engine name (dense, bidijkstra, alt)
+//     prices detours and places composite greedy bitwise like its
+//     "dijkstra" engine — the auto crossover never changes an answer;
 //   * serial vs parallel (OracleFuzzOptions::parallel_threads) runs of the
 //     oracle-backed pipeline are bit-identical, warm() included;
 //   * a deliberately tiny distance cache — whose generation flushes force

@@ -160,10 +160,6 @@ std::size_t estimate_bytes(const ServeScenario& scenario) {
   bytes += scenario.net.num_nodes() * 2 * 16;   // to-shop + from-shop trees
   bytes += path_nodes * 2 * 16;                 // incidence index, both axes
   if (scenario.oracle != nullptr) bytes += scenario.oracle->memory_bytes();
-  if (scenario.oracle_cache != nullptr) {
-    // Post-warm resident entries (key + value + bucket overhead).
-    bytes += scenario.oracle_cache->size() * 24;
-  }
   return bytes;
 }
 
@@ -257,7 +253,6 @@ std::shared_ptr<const ServeScenario> build_scenario(
   scenario->detours = std::move(engine.detours);
   scenario->detour_engine = std::move(engine.engine);
   scenario->oracle = std::move(engine.oracle);
-  scenario->oracle_cache = std::move(engine.cache);
   scenario->problem = std::make_unique<core::PlacementProblem>(
       scenario->net, scenario->flows, scenario->shop, *scenario->utility,
       std::make_unique<SharedDetours>(scenario->detours));

@@ -1,8 +1,8 @@
 // Scenario loading + content-addressed caching for the placement service.
 //
 // A ServeScenario is a fully built, pinned problem instance: network, base
-// flows, utility, shop, the shop's detour engine (two Dijkstras, or an
-// oracle-backed engine per the server's DetourEnginePolicy) and the base
+// flows, utility, shop, the shop's detour engine (two Dijkstras, plus the
+// oracle the server's DetourEnginePolicy asks for) and the base
 // PlacementProblem. Building one is the expensive part of serving a
 // `load` request — city generation or CSV parsing, map matching, the shop
 // Dijkstras, the incidence index — so scenarios are cached behind a 64-bit
@@ -32,7 +32,6 @@
 
 #include "src/core/problem.h"
 #include "src/graph/oracle.h"
-#include "src/graph/oracle_cache.h"
 #include "src/graph/road_network.h"
 #include "src/obs/event_log.h"
 #include "src/traffic/detour.h"
@@ -42,23 +41,11 @@
 
 namespace rap::serve {
 
-/// Detour source that forwards to a shared engine. The shop's
-/// DetourCalculator depends only on the network and the shop node, so delta
-/// rebuilds of the PlacementProblem (flows changed, network unchanged) can
-/// share the scenario's calculator instead of re-running its two Dijkstras.
-class SharedDetours final : public traffic::DetourSource {
- public:
-  explicit SharedDetours(std::shared_ptr<const traffic::DetourSource> inner)
-      : inner_(std::move(inner)) {}
-
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override {
-    return inner_->detours_along_path(flow);
-  }
-
- private:
-  std::shared_ptr<const traffic::DetourSource> inner_;
-};
+/// The shop's DetourCalculator depends only on the network and the shop
+/// node, so delta rebuilds of the PlacementProblem (flows changed, network
+/// unchanged) share the scenario's calculator instead of re-running its two
+/// Dijkstras.
+using traffic::SharedDetours;
 
 /// What a `load` request asks for. Exactly one input source must be set:
 /// a generated city (`city` non-empty), input files (`network_path`
@@ -97,15 +84,15 @@ struct ServeScenario {
   std::vector<traffic::TrafficFlow> flows;  ///< base flows (pre-delta)
   std::unique_ptr<traffic::UtilityFunction> utility;
   graph::NodeId shop = graph::kInvalidNode;
-  /// The shop detour engine, shared into delta rebuilds via SharedDetours.
-  /// Classic per-shop DetourCalculator or an oracle-backed
-  /// OracleDetourCalculator, per the build policy.
+  /// The shop detour engine, shared into delta rebuilds via SharedDetours:
+  /// the shop's DetourCalculator, or StoredDetours on a rehydrated
+  /// scenario.
   std::shared_ptr<const traffic::DetourSource> detours;
   /// Resolved engine name: "dijkstra" | "dense" | "bidijkstra" | "alt".
   std::string detour_engine = "dijkstra";
-  /// Oracle state behind an oracle engine (null for "dijkstra").
+  /// The oracle built for an oracle engine (null for "dijkstra" and on
+  /// rehydrated scenarios).
   std::shared_ptr<const graph::DistanceOracle> oracle;
-  std::shared_ptr<graph::SparseDistanceCache> oracle_cache;
   /// Problem over the base flows (also built on SharedDetours).
   std::unique_ptr<core::PlacementProblem> problem;
   std::size_t bytes = 0;  ///< approximate resident footprint (LRU accounting)

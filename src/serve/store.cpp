@@ -26,8 +26,6 @@ namespace {
 constexpr char kMagic[8] = {'R', 'A', 'P', 'S', 'E', 'G', '1', '\n'};
 /// Fixed header size; every scalar field is 8 bytes except shop/reserved.
 constexpr std::size_t kHeaderBytes = 112;
-/// The only engine whose exact pricing state is O(n) and persistable.
-constexpr const char* kPersistableEngine = "dijkstra";
 
 struct SegmentHeader {
   std::uint64_t version = 0;
@@ -391,14 +389,14 @@ std::string ScenarioStore::segment_path(std::uint64_t key) const {
 }
 
 bool ScenarioStore::put(const ServeScenario& scenario) {
-  // Extract the shop's d'/d'' arrays from a persistable engine. Rehydrated
-  // scenarios (StoredDetours) re-persist losslessly, e.g. into a new store.
+  // Extract the shop's d'/d'' arrays from the shop's trees — what every
+  // engine prices with. Rehydrated scenarios (StoredDetours) re-persist
+  // losslessly, e.g. into a new store.
   const auto* calculator =
       dynamic_cast<const traffic::DetourCalculator*>(scenario.detours.get());
   const auto* stored =
       dynamic_cast<const StoredDetours*>(scenario.detours.get());
-  if (scenario.detour_engine != kPersistableEngine ||
-      (calculator == nullptr && stored == nullptr)) {
+  if (calculator == nullptr && stored == nullptr) {
     const util::MutexLock lock(mutex_);
     ++stats_.skipped;
     return false;

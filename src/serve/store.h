@@ -38,11 +38,12 @@
 // reject other versions (counted corrupt), so a downgraded server treats
 // new-format segments as absent and rebuilds — never misreads.
 //
-// Only scenarios priced by the classic "dijkstra" engine are persisted:
-// their d'/d'' arrays are O(n) and fully determine every detour, including
-// detours of flows added later by deltas. Oracle-backed scenarios
-// (bidijkstra/alt/dense) price distances on demand and have no compact
-// exact state to persist; put() skips them (counted in Stats::skipped).
+// Every engine prices detours from the shop's d'/d'' arrays, which are O(n)
+// and fully determine every detour, including detours of flows added later
+// by deltas — so every built scenario is persisted, whatever its engine
+// name. The oracle an oracle engine built is not stored: no pricing reads
+// it. put() skips only scenarios whose detour source is neither a
+// DetourCalculator nor StoredDetours (counted in Stats::skipped).
 #pragma once
 
 #include <cstdint>
@@ -96,7 +97,7 @@ class ScenarioStore {
  public:
   struct Stats {
     std::uint64_t persisted = 0;   ///< segments written by put()
-    std::uint64_t skipped = 0;     ///< put() refusals (non-dijkstra engine)
+    std::uint64_t skipped = 0;     ///< put() refusals (foreign detour source)
     std::uint64_t rehydrated = 0;  ///< scenarios rebuilt from segments
     std::uint64_t corrupt = 0;     ///< segments rejected by validation
     std::uint64_t io_errors = 0;   ///< write/rename/read failures
@@ -107,7 +108,7 @@ class ScenarioStore {
   explicit ScenarioStore(std::string directory);
 
   /// Persists one built scenario under its content key. Returns true when a
-  /// segment was written; false when the scenario's engine is not
+  /// segment was written; false when the scenario's detour source is not
   /// persistable, the key is already stored, or IO failed (see stats()).
   bool put(const ServeScenario& scenario) RAP_EXCLUDES(mutex_);
 

@@ -19,7 +19,9 @@
 // are +infinity when the shop cannot be reached from v or j from the shop.
 #pragma once
 
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/graph/dijkstra.h"
@@ -46,6 +48,22 @@ class DetourSource {
   DetourSource() = default;
   DetourSource(const DetourSource&) = default;
   DetourSource& operator=(const DetourSource&) = default;
+};
+
+/// Adapts a shared detour source to the unique_ptr a PlacementProblem owns,
+/// so one engine can back several problems (serve deltas, the CLI, benches).
+class SharedDetours final : public DetourSource {
+ public:
+  explicit SharedDetours(std::shared_ptr<const DetourSource> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::vector<double> detours_along_path(
+      const TrafficFlow& flow) const override {
+    return inner_->detours_along_path(flow);
+  }
+
+ private:
+  std::shared_ptr<const DetourSource> inner_;
 };
 
 class DetourCalculator final : public DetourSource {

@@ -139,25 +139,16 @@ std::string resolve_detour_engine(const DetourEnginePolicy& policy,
 
 DetourEngine make_detour_engine(const graph::RoadNetwork& net,
                                 graph::NodeId shop,
-                                std::span<const TrafficFlow> flows,
+                                std::span<const TrafficFlow> /*flows*/,
                                 const DetourEnginePolicy& policy) {
   DetourEngine built;
   built.engine = resolve_detour_engine(policy, net.num_nodes());
-  if (built.engine == "dijkstra") {
-    built.detours = std::make_shared<const DetourCalculator>(net, shop);
-    return built;
+  if (built.engine != "dijkstra") {
+    graph::OraclePolicy oracle_policy = policy.oracle;
+    oracle_policy.backend = built.engine;
+    built.oracle = graph::make_oracle(net, oracle_policy);
   }
-  graph::OraclePolicy oracle_policy = policy.oracle;
-  oracle_policy.backend = built.engine;
-  built.oracle = graph::make_oracle(net, oracle_policy);
-  if (policy.cache_entries > 0) {
-    built.cache =
-        std::make_shared<graph::SparseDistanceCache>(policy.cache_entries);
-  }
-  auto engine = std::make_shared<OracleDetourCalculator>(
-      net, built.oracle, shop, DetourMode::kAlongPath, built.cache);
-  engine->warm(flows);
-  built.detours = std::move(engine);
+  built.detours = std::make_shared<const DetourCalculator>(net, shop);
   return built;
 }
 

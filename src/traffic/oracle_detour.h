@@ -2,7 +2,8 @@
 // the n^2 matrix replaced by a pluggable DistanceOracle plus a sparse
 // per-flow distance cache — a flow only ever pays for the O(path-length)
 // distances it actually queries, so metro-scale cities never materialise
-// an n x n matrix.
+// an n x n matrix. Shop siting and the fuzz reference price through it;
+// the production factory below does not (see make_detour_engine).
 //
 // Determinism: the oracle contract (src/graph/oracle.h) guarantees every
 // distance is bitwise identical to the dense matrix entry, so detours — and
@@ -10,8 +11,7 @@
 // matter which backend prices them (fuzzed by rap_fuzz --family=oracle).
 //
 // Thread safety: detours_along_path is safe to call concurrently (the cache
-// is internally synchronised, oracle queries use thread-local scratch) —
-// the property the serve layer's parallel place_batch relies on.
+// is internally synchronised, oracle queries use thread-local scratch).
 #pragma once
 
 #include <memory>
@@ -68,21 +68,21 @@ class OracleDetourCalculator final : public DetourSource {
 /// Engine-selection policy shared by rap_cli, rap_serve and the serve
 /// scenario builder: which detour engine prices a scenario's flows.
 ///
-/// "auto" keeps the classic per-shop two-Dijkstra DetourCalculator on small
-/// cities (n <= dijkstra_node_limit) — byte-for-byte today's behaviour —
-/// and switches to the oracle-backed engine above it, where an n^2 matrix
-/// or per-query full Dijkstras stop being affordable.
+/// Every engine prices along-path detours the same way: d' and d'' are both
+/// rooted at the one shop, so the shop's reverse and forward Dijkstra trees
+/// (DetourCalculator) hold every distance a flow needs. The engine name
+/// picks the distance oracle built alongside: none for "dijkstra" (what
+/// "auto" picks for n <= dijkstra_node_limit), a dense/bidirectional/ALT
+/// oracle otherwise. Placements are therefore bitwise identical for every
+/// engine and across the auto crossover.
 struct DetourEnginePolicy {
   /// "auto" | "dijkstra" | "dense" | "bidijkstra" | "alt".
   std::string engine = "auto";
-  /// Auto crossover: node count above which auto abandons the per-shop
-  /// Dijkstra engine for the oracle-backed one.
+  /// Auto crossover: node count above which auto builds the ALT oracle.
   std::size_t dijkstra_node_limit = 4096;
   /// Oracle construction knobs; `oracle.backend` is overridden by `engine`
   /// when a concrete oracle engine is named.
   graph::OraclePolicy oracle;
-  /// Sparse distance cache capacity for the oracle engine (0 = uncached).
-  std::size_t cache_entries = graph::SparseDistanceCache::kDefaultMaxEntries;
 };
 
 /// The resolved engine name for a concrete node count:
@@ -91,18 +91,22 @@ struct DetourEnginePolicy {
 [[nodiscard]] std::string resolve_detour_engine(
     const DetourEnginePolicy& policy, std::size_t num_nodes);
 
-/// A built detour engine plus the oracle state behind it (null for the
+/// A built detour engine plus the oracle built for it (null for the
 /// "dijkstra" engine, which has none).
 struct DetourEngine {
   std::string engine;  ///< resolved name
+  /// The shop's DetourCalculator, whatever the engine name.
   std::shared_ptr<const DetourSource> detours;
   std::shared_ptr<const graph::DistanceOracle> oracle;
+  /// Always null: along-path pricing queries no point-to-point distances.
   std::shared_ptr<graph::SparseDistanceCache> cache;
 };
 
-/// Builds the policy-selected engine for `shop` and pre-warms the oracle
-/// cache with every distance `flows` will query. `net` must outlive the
-/// returned engine.
+/// Builds the policy-selected engine for `shop`: the oracle first (so a
+/// forced "dense" over its node limit throws DenseLimitError before any
+/// search runs), then the shop's two Dijkstra trees. `flows` is not read —
+/// the trees price any flow on `net`. `net` must outlive the returned
+/// engine.
 [[nodiscard]] DetourEngine make_detour_engine(
     const graph::RoadNetwork& net, graph::NodeId shop,
     std::span<const TrafficFlow> flows, const DetourEnginePolicy& policy = {});

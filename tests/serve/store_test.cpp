@@ -1,6 +1,6 @@
 // Scenario store tests: restart rehydration with zero rebuilds, bitwise
-// identical placements on rehydrated scenarios, corruption detection, and
-// the dijkstra-only persistence policy.
+// identical placements on rehydrated scenarios (oracle engines included),
+// and corruption detection.
 #include "src/serve/store.h"
 
 #include <gtest/gtest.h>
@@ -172,20 +172,33 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServeStore, OracleScenariosAreSkippedNotMangled) {
+TEST(ServeStore, OracleScenariosPersistAndPlaceBitwise) {
+  // Every engine prices from the shop's two Dijkstra trees, so an
+  // alt-engined scenario persists its d'/d'' arrays like any other and
+  // places bitwise like the original after a restart.
   const std::string dir = temp_store_dir("oracle");
   ServerOptions options = store_options(dir);
-  options.detours.engine = "bidijkstra";
+  options.detours.engine = "alt";
+  std::string fresh_place;
+  std::string fresh_batch;
   {
     Server server(options);
     const JsonValue::Object loaded = expect_ok(server, load_request(7));
-    EXPECT_EQ(loaded.at("engine").as_string(), "bidijkstra");
+    EXPECT_EQ(loaded.at("engine").as_string(), "alt");
     ASSERT_NE(server.store(), nullptr);
-    EXPECT_EQ(server.store()->stats().skipped, 1U);
-    EXPECT_EQ(server.store()->segment_count(), 0U);
+    EXPECT_EQ(server.store()->stats().skipped, 0U);
+    EXPECT_EQ(server.store()->segment_count(), 1U);
+    fresh_place = server.handle_line(R"({"op":"place","k":3})");
+    fresh_batch = server.handle_line(R"({"op":"place_batch","ks":[1,2,4]})");
   }
   Server restarted(options);
-  EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
+  ASSERT_EQ(restarted.rehydrated_at_start(), 1U);
+  const JsonValue::Object loaded = expect_ok(restarted, load_request(7));
+  EXPECT_EQ(loaded.at("source").as_string(), "cache");
+  EXPECT_EQ(loaded.at("engine").as_string(), "alt");
+  EXPECT_EQ(restarted.handle_line(R"({"op":"place","k":3})"), fresh_place);
+  EXPECT_EQ(restarted.handle_line(R"({"op":"place_batch","ks":[1,2,4]})"),
+            fresh_batch);
   std::filesystem::remove_all(dir);
 }
 

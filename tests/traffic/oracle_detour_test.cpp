@@ -1,15 +1,18 @@
 // Oracle-backed detour engine: bitwise parity with ApspDetourCalculator in
 // both detour modes, deterministic parallel warm(), cache accounting, and
 // the shared DetourEnginePolicy factory behind rap_cli / rap_serve / the
-// serve scenario builder.
+// serve scenario builder, whose every engine prices like DetourCalculator.
 #include "src/traffic/oracle_detour.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/citygen/grid_city.h"
+#include "src/citygen/radial_city.h"
 #include "src/graph/apsp.h"
 #include "src/obs/telemetry.h"
 #include "src/traffic/apsp_detour.h"
@@ -153,42 +156,50 @@ TEST(DetourEnginePolicy, FactoryBuildsDijkstraWithoutOracleState) {
   EXPECT_EQ(built.cache, nullptr);
 }
 
-TEST(DetourEnginePolicy, FactoryBuildsWarmedOracleEngine) {
-  const Fixture f = make_fixture(2);
+/// Every engine name must price every flow exactly like the shop's own
+/// DetourCalculator — EXPECT_EQ on the doubles, no tolerance — so neither a
+/// forced engine nor the auto crossover can change a placement.
+void expect_every_engine_matches_dijkstra(const graph::RoadNetwork& net,
+                                          graph::NodeId shop,
+                                          const std::vector<TrafficFlow>& flows) {
+  const DetourCalculator reference(net, shop);
   DetourEnginePolicy policy;
-  policy.engine = "alt";
   policy.oracle.landmarks = 3;
-  const DetourEngine built =
-      make_detour_engine(f.net, f.shop, f.flows, policy);
-  EXPECT_EQ(built.engine, "alt");
-  ASSERT_NE(built.oracle, nullptr);
-  EXPECT_EQ(built.oracle->name(), "alt");
-  ASSERT_NE(built.cache, nullptr);
-  EXPECT_GT(built.cache->stats().insertions, 0u);  // pre-warmed
-  // And the engine it produced prices bitwise like the dense reference.
-  const graph::DistanceMatrix matrix = graph::all_pairs_shortest_paths(f.net);
-  const ApspDetourCalculator reference(f.net, matrix, f.shop);
-  for (const TrafficFlow& flow : f.flows) {
-    EXPECT_EQ(reference.detours_along_path(flow),
-              built.detours->detours_along_path(flow));
+  for (const std::string engine : {"dijkstra", "dense", "bidijkstra", "alt"}) {
+    policy.engine = engine;
+    const DetourEngine built = make_detour_engine(net, shop, flows, policy);
+    EXPECT_EQ(built.engine, engine);
+    EXPECT_EQ(built.oracle == nullptr, engine == "dijkstra") << engine;
+    EXPECT_EQ(built.cache, nullptr) << engine;
+    ASSERT_NE(built.detours, nullptr) << engine;
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      EXPECT_EQ(reference.detours_along_path(flows[f]),
+                built.detours->detours_along_path(flows[f]))
+          << engine << " flow " << f;
+    }
   }
 }
 
-TEST(DetourEnginePolicy, ZeroCacheEntriesDisablesTheCache) {
-  const Fixture f = make_fixture(4);
-  DetourEnginePolicy policy;
-  policy.engine = "bidijkstra";
-  policy.cache_entries = 0;
-  const DetourEngine built =
-      make_detour_engine(f.net, f.shop, f.flows, policy);
-  EXPECT_EQ(built.cache, nullptr);  // uncached: every query hits the oracle
-  ASSERT_NE(built.detours, nullptr);
-  const graph::DistanceMatrix matrix = graph::all_pairs_shortest_paths(f.net);
-  const ApspDetourCalculator reference(f.net, matrix, f.shop);
-  for (const TrafficFlow& flow : f.flows) {
-    EXPECT_EQ(reference.detours_along_path(flow),
-              built.detours->detours_along_path(flow));
-  }
+TEST(DetourEnginePolicy, EveryEngineMatchesDetourCalculatorOnAGrid) {
+  const citygen::GridCity city({9, 7, 100.0});
+  util::Rng rng(11);
+  const std::vector<TrafficFlow> flows =
+      testing::random_flows(city.network(), 30, rng);
+  expect_every_engine_matches_dijkstra(city.network(), city.center_node(),
+                                       flows);
+}
+
+TEST(DetourEnginePolicy, EveryEngineMatchesDetourCalculatorOnARadialCity) {
+  // Jittered ring-and-spoke streets have non-integer lengths, where
+  // differently associated sums (a reverse tree vs forward point-to-point
+  // searches) can disagree in the last ulp.
+  util::Rng rng(5);
+  citygen::RadialSpec spec;
+  spec.rings = 10;
+  spec.ring_spacing = 600.0;
+  const graph::RoadNetwork net = citygen::build_radial_city(spec, rng);
+  const std::vector<TrafficFlow> flows = testing::random_flows(net, 60, rng);
+  expect_every_engine_matches_dijkstra(net, 0, flows);
 }
 
 }  // namespace

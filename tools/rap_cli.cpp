@@ -29,11 +29,12 @@
 //                                report the optimality gap of the placement:
 //                                gap = (bound - achieved) / bound
 //   --oracle=auto|dijkstra|dense|bidijkstra|alt   detour engine (DESIGN.md
-//                                §13): "auto" keeps per-shop Dijkstras up to
-//                                --oracle-node-limit intersections and
-//                                switches to the ALT distance oracle above.
-//                                Placements are bitwise identical for every
-//                                engine; only time/memory change
+//                                §13): which distance oracle to build; "auto"
+//                                builds none up to --oracle-node-limit
+//                                intersections and ALT above. Every engine
+//                                prices detours from the shop's two Dijkstra
+//                                trees, so placements are bitwise identical
+//                                for every engine
 //   --oracle-node-limit=N        the auto crossover (default 4096)
 //   --oracle-landmarks=N         ALT landmark count (default 8)
 //   --save-network --save-flows --geojson          outputs
@@ -85,23 +86,6 @@ using namespace rap;
 struct Inputs {
   graph::RoadNetwork net;
   std::vector<traffic::TrafficFlow> flows;
-};
-
-/// Adapts a shared detour engine to the problem's unique_ptr ownership;
-/// holding the whole DetourEngine keeps the oracle and its cache alive for
-/// the problem's lifetime.
-class SharedEngineDetours final : public traffic::DetourSource {
- public:
-  explicit SharedEngineDetours(traffic::DetourEngine engine)
-      : engine_(std::move(engine)) {}
-
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override {
-    return engine_.detours->detours_along_path(flow);
-  }
-
- private:
-  traffic::DetourEngine engine_;
 };
 
 Inputs generate_city(const std::string& kind, std::uint64_t seed,
@@ -304,19 +288,13 @@ int main(int argc, char** argv) {
     std::optional<core::PlacementProblem> problem;
     {
       const obs::Span span("model_build");
-      const std::string engine =
-          traffic::resolve_detour_engine(engine_policy, inputs.net.num_nodes());
-      if (engine == "dijkstra") {
-        problem.emplace(inputs.net, inputs.flows, shop, *utility);
-      } else {
-        traffic::DetourEngine built = traffic::make_detour_engine(
-            inputs.net, shop, inputs.flows, engine_policy);
-        if (!quiet) {
-          std::cout << "detour engine: " << built.engine << "\n";
-        }
-        problem.emplace(inputs.net, inputs.flows, shop, *utility,
-                        std::make_unique<SharedEngineDetours>(std::move(built)));
+      const traffic::DetourEngine built = traffic::make_detour_engine(
+          inputs.net, shop, inputs.flows, engine_policy);
+      if (!quiet && built.engine != "dijkstra") {
+        std::cout << "detour engine: " << built.engine << "\n";
       }
+      problem.emplace(inputs.net, inputs.flows, shop, *utility,
+                      std::make_unique<traffic::SharedDetours>(built.detours));
     }
     const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
     const std::string algorithm = flags.get_string("algorithm", "alg2");

@@ -7,7 +7,6 @@
 //             [--virtual-ticks]
 //             [--oracle=auto|dijkstra|dense|bidijkstra|alt]
 //             [--oracle-node-limit=N] [--oracle-landmarks=N]
-//             [--oracle-cache-entries=N]
 //             [--listen=SOCKET] [--store-dir=DIR]
 //
 //   $ echo '{"op":"load","city":"grid","seed":1,"utility":"linear","d":2500}' |
@@ -41,12 +40,13 @@
 //                  clock (one 1 ms tick per request) so traces, logs and
 //                  stats snapshots are byte-reproducible across runs.
 //
-// Detour engine (DESIGN.md §13): --oracle picks how scenarios price
-// detours. "auto" (default) keeps the classic per-shop Dijkstra engine on
-// cities up to --oracle-node-limit intersections and switches to the ALT
-// distance oracle above it; placements are bitwise identical either way.
-// Forcing --oracle=dense on a city over the matrix node limit yields a
-// structured "resource_limit" error response instead of an n^2 allocation.
+// Detour engine (DESIGN.md §13): --oracle picks the distance oracle a
+// scenario builds. "auto" (default) builds none on cities up to
+// --oracle-node-limit intersections and the ALT oracle above it. Every
+// engine prices detours from the shop's two Dijkstra trees, so placements
+// are bitwise identical either way, on any city. Forcing --oracle=dense on
+// a city over the matrix node limit yields a structured "resource_limit"
+// error response instead of an n^2 allocation.
 //
 // In RAP_AUDIT builds every placement the server computes runs under the
 // invariant auditor (src/check/audit.h) — a violated invariant turns into
@@ -104,10 +104,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int(
             "oracle-landmarks",
             static_cast<std::int64_t>(options.detours.oracle.landmarks)));
-    options.detours.cache_entries =
-        static_cast<std::size_t>(flags.get_int(
-            "oracle-cache-entries",
-            static_cast<std::int64_t>(options.detours.cache_entries)));
     for (const std::string& unknown : flags.unused()) {
       std::cerr << "rap_serve: unknown flag --" << unknown << "\n";
       return 2;
