@@ -10,11 +10,8 @@
 //      flexible routing — the Fig. 12 vs Fig. 13 mechanism in isolation.
 //   4. Lazy (CELF) greedy: identical output to the eager greedy with a
 //      fraction of the gain evaluations — the k|V||T| term in practice.
-//   5. Detour preprocessing: the paper's O(|V|^3) all-pairs matrix vs the
-//      per-shop Dijkstra engine, per-shop build time.
 //
 // Flags: --instances (default 30), --seed, --k (default 6).
-#include <chrono>
 #include <iostream>
 
 #include "bench/common.h"
@@ -26,7 +23,6 @@
 #include "src/core/lazy_greedy.h"
 #include "src/core/local_search.h"
 #include "src/manhattan/flexible_eval.h"
-#include "src/traffic/apsp_detour.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -185,44 +181,6 @@ int main(int argc, char** argv) {
     std::cout << util::pad("lazy (CELF) greedy", -28)
               << util::pad(util::format_fixed(lazy_evals.mean(), 0), 12) << "\n";
     std::cout << "(identical placements; see tests/core/lazy_greedy_test)\n\n";
-  }
-
-  // ---- Ablation 5: detour preprocessing strategy.
-  std::cout << "# ablation 5: detour preprocessing (Dublin network, "
-               "wall-clock per shop)\n";
-  {
-    const bench::CityWorkload city = bench::build_dublin(seed, 80);
-    const auto time_of = [](auto&& fn) {
-      const auto start = std::chrono::steady_clock::now();
-      fn();
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - start)
-          .count();
-    };
-    const double dijkstra_ms = time_of([&] {
-      for (graph::NodeId shop = 0; shop < 20; ++shop) {
-        const traffic::DetourCalculator calc(*city.net, shop);
-        for (const auto& flow : city.workload.flows) {
-          (void)calc.detours_along_path(flow);
-        }
-      }
-    });
-    const graph::DistanceMatrix matrix =
-        graph::all_pairs_shortest_paths(*city.net);
-    const double apsp_ms = time_of([&] {
-      for (graph::NodeId shop = 0; shop < 20; ++shop) {
-        const traffic::ApspDetourCalculator calc(*city.net, matrix, shop);
-        for (const auto& flow : city.workload.flows) {
-          (void)calc.detours_along_path(flow);
-        }
-      }
-    });
-    std::cout << util::pad("per-shop Dijkstra engine", -30)
-              << util::pad(util::format_fixed(dijkstra_ms / 20.0, 3), 10)
-              << " ms/shop\n";
-    std::cout << util::pad("shared APSP matrix (paper)", -30)
-              << util::pad(util::format_fixed(apsp_ms / 20.0, 3), 10)
-              << " ms/shop (after one APSP build)\n";
   }
   return 0;
 }

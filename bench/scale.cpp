@@ -1,21 +1,19 @@
 // Metro-scale placement bench (DESIGN.md §13): a ~10^5-intersection grid
-// city with 10^5 corridor flows, priced by the production "alt" detour
-// engine (make_detour_engine: ALT preprocessing plus the shop's two
-// Dijkstra trees) and placed with the lazy greedy — end to end without
+// city with 10^5 corridor flows, priced by the shop's two Dijkstra trees
+// (DetourCalculator) and placed with the lazy greedy — end to end without
 // ever materialising the n^2 distance matrix, which at this scale would be
 // ~80 GB.
 //
 // Writes BENCH_scale.json in the rap.bench.v1 schema (bench/common.h) so
 // tools/bench_compare gates the numbers against bench/baselines/: node and
-// flow counts, the objective and the oracle's preprocessing footprint are
-// deterministic (strict tolerance); wall times and the rss-vs-dense ratio
-// are loose. --max-wall-s / --max-rss-mb turn the run into a hard budget
-// check (exit 1 on breach) — the CI scale-smoke job runs a reduced
-// instance under exactly that contract.
+// flow counts, the objective and the peak RSS take the strict tolerance;
+// wall times and the rss-vs-dense ratio are loose. --max-wall-s /
+// --max-rss-mb turn the run into a hard budget check (exit 1 on breach) —
+// the CI scale-smoke job runs the full instance under exactly that
+// contract.
 //
-//   scale [--side=317] [--flows=100000] [--k=8] [--landmarks=8]
-//         [--max-trip=60] [--out=BENCH_scale.json]
-//         [--max-wall-s=0] [--max-rss-mb=0]
+//   scale [--side=317] [--flows=100000] [--k=8] [--max-trip=60]
+//         [--out=BENCH_scale.json] [--max-wall-s=0] [--max-rss-mb=0]
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -31,8 +29,7 @@
 #include "src/citygen/grid_city.h"
 #include "src/core/lazy_greedy.h"
 #include "src/core/problem.h"
-#include "src/graph/oracle.h"
-#include "src/traffic/oracle_detour.h"
+#include "src/traffic/detour.h"
 #include "src/traffic/utility.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
@@ -124,8 +121,6 @@ int main(int argc, char** argv) {
     const auto flow_count =
         static_cast<std::size_t>(flags.get_int("flows", 100'000));
     const auto k = static_cast<std::size_t>(flags.get_int("k", 8));
-    const auto landmarks =
-        static_cast<std::size_t>(flags.get_int("landmarks", 8));
     const auto max_trip =
         static_cast<std::size_t>(flags.get_int("max-trip", 60));
     const double max_wall_s = flags.get_double("max-wall-s", 0.0);
@@ -146,21 +141,15 @@ int main(int argc, char** argv) {
 
     const graph::NodeId shop = city.center_node();
 
-    // The production engine: ALT preprocessing (2L Dijkstra tables, O(L*n)
-    // memory) plus the shop's reverse and forward Dijkstra trees.
+    // The detour engine: the shop's reverse and forward Dijkstra trees.
     stage = Clock::now();
-    traffic::DetourEnginePolicy policy;
-    policy.engine = "alt";
-    policy.oracle.landmarks = landmarks;
-    const traffic::DetourEngine engine =
-        traffic::make_detour_engine(net, shop, flows, policy);
+    auto detours = std::make_unique<traffic::DetourCalculator>(net, shop);
     const double engine_build_ms = ms_since(stage);
 
     stage = Clock::now();
     const traffic::LinearUtility utility(3'000.0);
-    const core::PlacementProblem problem(
-        net, std::move(flows), shop, utility,
-        std::make_unique<traffic::SharedDetours>(engine.detours));
+    const core::PlacementProblem problem(net, std::move(flows), shop, utility,
+                                         std::move(detours));
     const double problem_build_ms = ms_since(stage);
 
     stage = Clock::now();
@@ -187,10 +176,6 @@ int main(int argc, char** argv) {
     metrics.push_back({"scale.gain_evaluations",
                        static_cast<double>(greedy_stats.gain_evaluations),
                        "count", true});
-    metrics.push_back({"scale.oracle_memory_mb",
-                       static_cast<double>(engine.oracle->memory_bytes()) /
-                           (1024.0 * 1024.0),
-                       "mb", true});
     metrics.push_back({"scale.city_build_ms", city_build_ms, "ms", true});
     metrics.push_back({"scale.flows_build_ms", flows_build_ms, "ms", true});
     metrics.push_back({"scale.engine_build_ms", engine_build_ms, "ms", true});
@@ -198,19 +183,14 @@ int main(int argc, char** argv) {
                        true});
     metrics.push_back({"scale.place_ms", place_ms, "ms", true});
     metrics.push_back({"scale.total_ms", total_ms, "ms", true});
-    // Unit "ratio" (not "mb"): RSS is allocator- and machine-dependent, so
-    // it belongs in bench_compare's loose tolerance class; the
-    // rss_vs_dense_matrix ratio below is the sublinearity contract proper.
-    metrics.push_back({"scale.peak_rss_mb", rss_mb, "ratio", true});
+    metrics.push_back({"scale.peak_rss_mb", rss_mb, "mb", true});
     metrics.push_back({"scale.rss_vs_dense_matrix", rss_vs_dense, "ratio",
                        true});
     bench::write_bench_json(out, "scale",
                             {{"side", std::to_string(side)},
                              {"flows", std::to_string(flow_count)},
                              {"k", std::to_string(k)},
-                             {"landmarks", std::to_string(landmarks)},
-                             {"max_trip", std::to_string(max_trip)},
-                             {"engine", "alt"}},
+                             {"max_trip", std::to_string(max_trip)}},
                             metrics);
 
     std::cout << "scale: " << net.num_nodes() << " nodes, "

@@ -4,13 +4,10 @@
 #include <memory>
 #include <utility>
 
+#include "src/check/detour_reference.h"
 #include "src/check/scenario.h"
 #include "src/core/composite_greedy.h"
 #include "src/core/lazy_greedy.h"
-#include "src/graph/apsp.h"
-#include "src/graph/oracle.h"
-#include "src/graph/oracle_cache.h"
-#include "src/traffic/apsp_detour.h"
 #include "src/traffic/oracle_detour.h"
 #include "src/util/thread_pool.h"
 
@@ -34,28 +31,8 @@ std::string full_precision(double value) {
   return buffer;
 }
 
-/// Every (from, to) pair of the sparse backend against the dense matrix —
-/// exact equality, infinities included.
-void check_all_pairs(const graph::DistanceMatrix& dense,
-                     const graph::DistanceOracle& oracle,
-                     OracleFuzzReport& report) {
-  ++report.checks_run;
-  for (graph::NodeId from = 0; from < dense.size(); ++from) {
-    for (graph::NodeId to = 0; to < dense.size(); ++to) {
-      const double want = dense(from, to);
-      const double got = oracle.distance(from, to);
-      if (want == got || (want != want && got != got)) continue;
-      report.failures.push_back(
-          {std::string("distance_dense_vs_") + std::string(oracle.name()),
-           std::to_string(from) + "->" + std::to_string(to) + ": dense " +
-               full_precision(want) + " != " + full_precision(got)});
-      return;  // one mismatch per backend is a complete bug report
-    }
-  }
-}
-
-/// Per-flow detour vectors of `candidate` against the dense-matrix
-/// reference engine — exact equality, element by element.
+/// Per-flow detour vectors of `candidate` against the reference — exact
+/// equality, element by element.
 void check_detours(const Scenario& scenario,
                    const traffic::DetourSource& reference,
                    const traffic::DetourSource& candidate,
@@ -104,51 +81,16 @@ void check_placements(const core::PlacementResult& want,
   }
 }
 
-/// The oracle-backed problem for the scenario: ALT oracle + shared cache,
-/// cache pre-warmed exactly like the serve/CLI paths do it.
-std::unique_ptr<core::PlacementProblem> build_oracle_problem(
-    const Scenario& scenario,
-    const std::shared_ptr<const graph::DistanceOracle>& oracle,
-    std::size_t cache_entries) {
-  auto engine = std::make_unique<traffic::OracleDetourCalculator>(
-      scenario.net, oracle, scenario.shop, traffic::DetourMode::kAlongPath,
-      std::make_shared<graph::SparseDistanceCache>(cache_entries));
-  engine->warm(scenario.flows);
+/// The scenario's problem priced by the production factory, the way the
+/// serve layer and the benches build it.
+std::unique_ptr<core::PlacementProblem> build_production_problem(
+    const Scenario& scenario) {
   return std::make_unique<core::PlacementProblem>(
       scenario.net, scenario.flows, scenario.shop, *scenario.utility,
-      std::move(engine));
-}
-
-/// The production factory under every engine name must price and place
-/// bitwise like its "dijkstra" engine: the engine name may only change
-/// which oracle is built, never an answer.
-void check_engines(const Scenario& scenario, const OracleFuzzOptions& options,
-                   OracleFuzzReport& report) {
-  traffic::DetourEnginePolicy policy;
-  policy.oracle.landmarks = options.landmarks;
-  policy.oracle.landmark_seed = scenario.seed;
-  const auto problem_for = [&](const std::string& engine) {
-    policy.engine = engine;
-    return std::make_unique<core::PlacementProblem>(
-        scenario.net, scenario.flows, scenario.shop, *scenario.utility,
-        std::make_unique<traffic::SharedDetours>(
-            traffic::make_detour_engine(scenario.net, scenario.shop,
-                                        scenario.flows, policy)
-                .detours));
-  };
-  const std::unique_ptr<core::PlacementProblem> reference =
-      problem_for("dijkstra");
-  const core::PlacementResult want =
-      core::composite_greedy_placement(*reference, scenario.k);
-  for (const char* engine : {"dense", "bidijkstra", "alt"}) {
-    const std::unique_ptr<core::PlacementProblem> candidate =
-        problem_for(engine);
-    check_detours(scenario, reference->detours(), candidate->detours(),
-                  std::string("engine_detours_") + engine, report);
-    check_placements(
-        want, core::composite_greedy_placement(*candidate, scenario.k),
-        std::string("engine_composite_") + engine, report);
-  }
+      std::make_unique<traffic::SharedDetours>(
+          traffic::make_detour_engine(scenario.net, scenario.shop,
+                                      scenario.flows)
+              .detours));
 }
 
 }  // namespace
@@ -160,73 +102,43 @@ OracleFuzzReport fuzz_oracle_one(std::uint64_t seed,
   const std::unique_ptr<Scenario> scenario = generate_scenario(seed);
   const graph::RoadNetwork& net = scenario->net;
 
-  const graph::DistanceMatrix dense = graph::all_pairs_shortest_paths(net);
-  const auto bidi = std::make_shared<graph::BidirectionalOracle>(net);
-  const auto alt = std::make_shared<graph::AltOracle>(
-      net, graph::AltParams{options.landmarks, seed});
-
-  check_all_pairs(dense, *bidi, report);
-  check_all_pairs(dense, *alt, report);
-
-  // Detour parity in both modes, including the tiny cache whose generation
-  // flushes force recomputation mid-pricing.
   for (const traffic::DetourMode mode :
        {traffic::DetourMode::kAlongPath, traffic::DetourMode::kShortestPath}) {
     const char* mode_name =
         mode == traffic::DetourMode::kAlongPath ? "along" : "shortest";
-    const traffic::ApspDetourCalculator reference(net, dense, scenario->shop,
-                                                  mode);
-    const traffic::OracleDetourCalculator alt_engine(
-        net, alt, scenario->shop, mode,
-        std::make_shared<graph::SparseDistanceCache>());
-    const traffic::OracleDetourCalculator bidi_engine(net, bidi,
-                                                      scenario->shop, mode);
-    const traffic::OracleDetourCalculator tiny_cache_engine(
-        net, alt, scenario->shop, mode,
-        std::make_shared<graph::SparseDistanceCache>(
-            options.tiny_cache_entries));
-    check_detours(*scenario, reference, alt_engine,
-                  std::string("detours_alt_") + mode_name, report);
-    check_detours(*scenario, reference, bidi_engine,
-                  std::string("detours_bidijkstra_") + mode_name, report);
-    check_detours(*scenario, reference, tiny_cache_engine,
-                  std::string("detours_tiny_cache_") + mode_name, report);
+    check_detours(*scenario, ReferenceDetours(net, scenario->shop, mode),
+                  traffic::DetourCalculator(net, scenario->shop, mode),
+                  std::string("detours_") + mode_name, report);
   }
 
-  // Placement parity: the same algorithms over a dense-matrix problem and
-  // an oracle-backed problem must pick identical nodes and objectives.
+  // Placement parity: the same algorithms over the production problem and
+  // a reference-priced problem must pick identical nodes and objectives.
   // Lazy-vs-lazy and composite-vs-composite are valid for every utility
   // family (identical inputs -> identical run), unlike lazy-vs-eager.
-  const core::PlacementProblem dense_problem(
+  const core::PlacementProblem reference_problem(
       net, scenario->flows, scenario->shop, *scenario->utility,
-      std::make_unique<traffic::ApspDetourCalculator>(net, dense,
-                                                      scenario->shop));
-  const std::unique_ptr<core::PlacementProblem> oracle_problem =
-      build_oracle_problem(*scenario, alt,
-                           graph::SparseDistanceCache::kDefaultMaxEntries);
-  const core::PlacementResult dense_lazy =
-      core::lazy_marginal_greedy_placement(dense_problem, scenario->k);
-  const core::PlacementResult oracle_lazy =
-      core::lazy_marginal_greedy_placement(*oracle_problem, scenario->k);
-  check_placements(dense_lazy, oracle_lazy, "placement_lazy_dense_vs_oracle",
-                   report);
+      std::make_unique<ReferenceDetours>(net, scenario->shop));
+  const std::unique_ptr<core::PlacementProblem> production =
+      build_production_problem(*scenario);
+  const core::PlacementResult production_lazy =
+      core::lazy_marginal_greedy_placement(*production, scenario->k);
   check_placements(
-      core::composite_greedy_placement(dense_problem, scenario->k),
-      core::composite_greedy_placement(*oracle_problem, scenario->k),
-      "placement_composite_dense_vs_oracle", report);
+      core::lazy_marginal_greedy_placement(reference_problem, scenario->k),
+      production_lazy, "placement_lazy", report);
+  check_placements(
+      core::composite_greedy_placement(reference_problem, scenario->k),
+      core::composite_greedy_placement(*production, scenario->k),
+      "placement_composite", report);
 
-  check_engines(*scenario, options, report);
-
-  // Parallel leg: rebuild + re-place with the worker pool engaged (warm()
-  // chunks, APSP row sweep, greedy scans); everything must stay bitwise.
+  // Parallel leg: rebuild + re-place with the worker pool engaged (model
+  // build, greedy scans); everything must stay bitwise.
   {
     const ThreadConfigGuard guard;
     util::set_parallel_config({options.parallel_threads});
     const std::unique_ptr<core::PlacementProblem> parallel_problem =
-        build_oracle_problem(*scenario, alt,
-                             graph::SparseDistanceCache::kDefaultMaxEntries);
+        build_production_problem(*scenario);
     check_placements(
-        oracle_lazy,
+        production_lazy,
         core::lazy_marginal_greedy_placement(*parallel_problem, scenario->k),
         "placement_lazy_serial_vs_parallel", report);
   }

@@ -1,15 +1,10 @@
 #include "src/eval/shop_siting.h"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/composite_greedy.h"
-#include "src/graph/oracle_cache.h"
-#include "src/traffic/apsp_detour.h"
-#include "src/traffic/oracle_detour.h"
 
 namespace rap::eval {
 
@@ -28,38 +23,10 @@ std::vector<SiteScore> rank_shop_sites(
     for (const graph::NodeId v : candidates) net.check_node(v);
   }
 
-  // Distance state shared across every candidate shop: the dense matrix on
-  // small cities, a sparse oracle + distance cache above the policy's node
-  // threshold (candidates query overlapping (node, shop) pairs, so the
-  // shared cache amortises most of the work). Either way the distances are
-  // the same forward fixpoint, so the ranking is bitwise identical.
-  const graph::OracleBackend backend =
-      graph::resolve_oracle_backend(options.oracle, net.num_nodes());
-  std::optional<graph::DistanceMatrix> matrix;
-  std::shared_ptr<const graph::DistanceOracle> oracle;
-  std::shared_ptr<graph::SparseDistanceCache> cache;
-  if (backend == graph::OracleBackend::kDense) {
-    matrix.emplace(graph::all_pairs_shortest_paths(net));
-  } else {
-    oracle = graph::make_oracle(net, options.oracle);
-    cache = std::make_shared<graph::SparseDistanceCache>();
-  }
-
   std::vector<SiteScore> scores;
   scores.reserve(candidates.size());
   for (const graph::NodeId shop : candidates) {
-    std::unique_ptr<const traffic::DetourSource> detours;
-    if (matrix.has_value()) {
-      detours = std::make_unique<traffic::ApspDetourCalculator>(net, *matrix,
-                                                                shop);
-    } else {
-      auto engine = std::make_unique<traffic::OracleDetourCalculator>(
-          net, oracle, shop, traffic::DetourMode::kAlongPath, cache);
-      engine->warm(flows);
-      detours = std::move(engine);
-    }
-    const core::PlacementProblem problem(net, flows, shop, utility,
-                                         std::move(detours));
+    const core::PlacementProblem problem(net, flows, shop, utility);
     core::PlacementResult placed =
         core::composite_greedy_placement(problem, options.k);
     scores.push_back({shop, placed.customers, std::move(placed.nodes)});

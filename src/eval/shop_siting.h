@@ -4,19 +4,15 @@
 // the placement problem with the shop there, runs the placement algorithm,
 // and ranks candidates by attracted customers.
 //
-// The evaluation loop shares distance state across all candidate shops: a
-// single all-pairs matrix on small cities (the paper's O(|V|^3)
-// preprocessing, amortised — exactly when ApspDetourCalculator beats
-// per-shop Dijkstras), or a shared sparse DistanceOracle + distance cache
-// on metro cities where the n^2 matrix is unaffordable. Rankings are
-// bitwise identical either way (the oracle contract, src/graph/oracle.h).
+// Each candidate is priced like any other placement problem: the
+// candidate shop's own DetourCalculator (two Dijkstras), so every score is
+// exactly what PlacementProblem(net, flows, shop, utility) plus composite
+// greedy would report for that shop.
 #pragma once
 
 #include <vector>
 
 #include "src/core/problem.h"
-#include "src/graph/apsp.h"
-#include "src/graph/oracle.h"
 
 namespace rap::eval {
 
@@ -32,10 +28,6 @@ struct ShopSitingOptions {
   std::vector<graph::NodeId> candidates;
   /// Keep only the best `top` sites in the result (0 = all).
   std::size_t top = 0;
-  /// Distance backend: "auto" shares one dense matrix below
-  /// oracle.dense_node_limit and one sparse oracle + distance cache above
-  /// it. The ranking is bitwise identical for every backend.
-  graph::OraclePolicy oracle;
 };
 
 /// Ranks candidate shop sites by the customers their best placement

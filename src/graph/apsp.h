@@ -15,14 +15,12 @@ namespace rap::graph {
 /// Hard ceiling on dense-matrix construction. 16384^2 doubles is 2 GiB —
 /// the largest allocation that is still plausibly intentional; anything
 /// bigger OOM-kills small machines long before the |V| Dijkstras finish.
-/// Metro-scale instances must go through a sparse DistanceOracle backend
-/// (src/graph/oracle.h) instead of materialising n^2 distances.
+/// Metro-scale detour pricing never needs the matrix: it runs from the
+/// shop's two Dijkstra trees (traffic::DetourCalculator).
 inline constexpr std::size_t kDenseNodeLimit = 16384;
 
 /// Structured failure for an over-limit dense matrix: thrown *before* the
 /// n^2 allocation so callers fail fast instead of dying in the allocator.
-/// The serve layer maps this to the `rap.serve.v1` error code
-/// "resource_limit" (src/serve/protocol.h).
 class DenseLimitError : public std::runtime_error {
  public:
   DenseLimitError(std::size_t nodes, std::size_t limit);

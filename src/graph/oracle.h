@@ -1,74 +1,31 @@
-// Pluggable point-to-point distance oracles — the metro-scale replacement
-// for the dense all-pairs matrix (ROADMAP: "the single refactor that unlocks
-// every other scale item").
+// Point-to-point distance oracle interface.
 //
-// Determinism contract (the whole point — see DESIGN.md §13): every backend
-// returns distances *bitwise identical* to the dense reference
-// `all_pairs_shortest_paths(net)(from, to)`. The dense rows are the unique
-// fixpoint of forward relaxation, dist[v] = min over edges (u,v) of
-// fl(dist[u] + w), where fl is IEEE double addition. All sparse backends
-// therefore compute their answers with *forward relaxations only*; data with
-// a different floating-point association — reverse-Dijkstra sums, landmark
-// differences — is only ever used as a *heuristic*, deflated by a relative
-// slack (kHeuristicSlack) that dwarfs accumulated rounding error so it stays
-// a strict lower bound on every floating-point path sum. An A* search with
-// such a lower bound settles the target at exactly the forward-fixpoint
-// value, so placements downstream are bitwise identical no matter which
-// backend priced the distances (enforced by tests/graph/oracle_test.cpp and
-// rap_fuzz --family=oracle).
-//
-// Backends:
-//   DenseOracle          — wraps the n^2 matrix; O(1) queries, O(n^2)
-//                          memory. The reference, and the right choice for
-//                          toy cities queried densely.
-//   BidirectionalOracle  — target-pruned bidirectional Dijkstra: a backward
-//                          ball from the target bounds the search, then a
-//                          forward A* finishes the query exactly. No
-//                          preprocessing, O(n) scratch.
-//   AltOracle            — ALT (A*, landmarks, triangle inequality):
-//                          seeded deterministic farthest-point landmark
-//                          selection, 2L Dijkstra tables (O(L*n) memory),
-//                          forward A* with the landmark lower bound.
-//
-// Thread safety: distance() is safe to call concurrently on all backends
-// (search scratch is thread-local, epoch-stamped so queries are
-// allocation-free after warm-up).
+// No backend implements it any more: every detour is priced from the
+// shop's two Dijkstra trees (traffic::DetourCalculator, DESIGN.md §13), so
+// nothing in librap queries point-to-point distances. The interface is kept
+// only because the frozen benchmark harness (perfbench/) still reads
+// `DetourEngine::oracle->memory_bytes()`; that field is always null.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
+#include <cstddef>
 #include <string_view>
-#include <vector>
 
-#include "src/graph/apsp.h"
 #include "src/graph/road_network.h"
 
 namespace rap::graph {
-
-/// Relative slack by which heuristics derived from non-forward sums are
-/// deflated. Accumulated rounding error over a P-hop path is at most
-/// ~P * 2^-52 relative (~1e-12 for a million hops); 1e-9 dominates it by
-/// three orders of magnitude while remaining negligible for search pruning.
-inline constexpr double kHeuristicSlack = 1e-9;
 
 /// Point-to-point shortest-path distances on a fixed RoadNetwork.
 class DistanceOracle {
  public:
   virtual ~DistanceOracle() = default;
 
-  /// Shortest-path distance from -> to (kUnreachable when disconnected),
-  /// bitwise identical to the dense APSP matrix entry. Thread-safe.
+  /// Shortest-path distance from -> to (kUnreachable when disconnected).
   [[nodiscard]] virtual double distance(NodeId from, NodeId to) const = 0;
 
-  /// Batched common-source queries; the default loops distance().
-  [[nodiscard]] virtual std::vector<double> distances_from(
-      NodeId source, const std::vector<NodeId>& targets) const;
-
-  /// Backend name for logs/metrics: "dense" | "bidijkstra" | "alt".
+  /// Backend name for logs/metrics.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Resident bytes of preprocessing state (matrix, landmark tables).
+  /// Resident bytes of preprocessing state.
   [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
 
  protected:
@@ -76,119 +33,5 @@ class DistanceOracle {
   DistanceOracle(const DistanceOracle&) = default;
   DistanceOracle& operator=(const DistanceOracle&) = default;
 };
-
-/// The dense reference: O(1) lookups into an n^2 matrix.
-class DenseOracle final : public DistanceOracle {
- public:
-  /// Builds the matrix (|V| Dijkstras). Throws DenseLimitError when the
-  /// network exceeds `matrix_node_limit` — before allocating (0 = no limit).
-  explicit DenseOracle(const RoadNetwork& net,
-                       std::size_t matrix_node_limit = kDenseNodeLimit);
-
-  /// Shares an existing matrix (the multi-shop / shop-siting use case).
-  explicit DenseOracle(std::shared_ptr<const DistanceMatrix> matrix);
-
-  [[nodiscard]] double distance(NodeId from, NodeId to) const override;
-  [[nodiscard]] std::vector<double> distances_from(
-      NodeId source, const std::vector<NodeId>& targets) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "dense";
-  }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override;
-
-  [[nodiscard]] const DistanceMatrix& matrix() const noexcept {
-    return *matrix_;
-  }
-
- private:
-  std::shared_ptr<const DistanceMatrix> matrix_;
-};
-
-/// Target-pruned bidirectional Dijkstra. Phase 1 grows forward and backward
-/// balls until their radii cover the tentative meet; phase 2 finishes with a
-/// forward A* whose heuristic is the (deflated) backward ball, so the
-/// returned value is the exact forward fixpoint.
-class BidirectionalOracle final : public DistanceOracle {
- public:
-  /// `net` must outlive the oracle.
-  explicit BidirectionalOracle(const RoadNetwork& net);
-
-  [[nodiscard]] double distance(NodeId from, NodeId to) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "bidijkstra";
-  }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override;
-
- private:
-  const RoadNetwork* net_;
-};
-
-struct AltParams {
-  /// Landmark count; clamped to the node count. More landmarks = tighter
-  /// bounds = smaller searches, at O(n) memory and 2 Dijkstras each.
-  std::size_t landmarks = 8;
-  /// Seed for the first (random) landmark; the rest are farthest-point,
-  /// ties to the lowest node id — fully deterministic per (net, params).
-  std::uint64_t seed = 1;
-};
-
-/// ALT: A* with landmark triangle-inequality lower bounds.
-class AltOracle final : public DistanceOracle {
- public:
-  /// Preprocesses 2*landmarks Dijkstra trees. `net` must outlive the
-  /// oracle.
-  explicit AltOracle(const RoadNetwork& net, AltParams params = {});
-
-  [[nodiscard]] double distance(NodeId from, NodeId to) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "alt";
-  }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override;
-
-  [[nodiscard]] const std::vector<NodeId>& landmarks() const noexcept {
-    return landmarks_;
-  }
-
-  /// The (deflated) landmark lower bound on d(from, to) — the A* heuristic.
-  /// Exposed for the admissibility/consistency property tests: the value is
-  /// always <= the true shortest-path distance.
-  [[nodiscard]] double heuristic(NodeId from, NodeId to) const;
-
- private:
-  const RoadNetwork* net_;
-  std::vector<NodeId> landmarks_;
-  // Flat L x n tables: fwd_[l*n + v] = d(landmark_l -> v),
-  // bwd_[l*n + v] = d(v -> landmark_l).
-  std::vector<double> fwd_;
-  std::vector<double> bwd_;
-};
-
-/// Backend-selection policy shared by rap_cli, shop siting, and serve.
-struct OraclePolicy {
-  /// "auto" | "dense" | "bidijkstra" | "alt". Auto picks dense while the
-  /// matrix is affordable (n <= dense_node_limit), alt above.
-  std::string backend = "auto";
-  /// Auto-policy crossover: below this the n^2 matrix wins on query speed
-  /// and build cost; above it, memory dominates. 2048^2 doubles = 32 MiB.
-  std::size_t dense_node_limit = 2048;
-  /// Hard refusal bound forwarded to DistanceMatrix (0 = unlimited).
-  std::size_t matrix_node_limit = kDenseNodeLimit;
-  std::size_t landmarks = 8;
-  std::uint64_t landmark_seed = 1;
-};
-
-enum class OracleBackend { kDense, kBidirectional, kAlt };
-
-/// Resolves the policy against a concrete node count. Throws
-/// std::invalid_argument on an unknown backend string.
-[[nodiscard]] OracleBackend resolve_oracle_backend(const OraclePolicy& policy,
-                                                   std::size_t num_nodes);
-
-[[nodiscard]] std::string_view to_string(OracleBackend backend) noexcept;
-
-/// Builds the policy-selected backend (under a "graph.oracle.build" span,
-/// recording graph.oracle.{backend_*,build.memory_bytes} metrics).
-[[nodiscard]] std::shared_ptr<const DistanceOracle> make_oracle(
-    const RoadNetwork& net, const OraclePolicy& policy = {});
 
 }  // namespace rap::graph

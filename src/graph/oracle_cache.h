@@ -23,6 +23,9 @@
 
 namespace rap::graph {
 
+/// No pricing path builds one any more (DESIGN.md §13); the class is kept
+/// because the frozen benchmark harness (perfbench/) still reads
+/// `DetourEngine::cache->stats()`, and that field is always null.
 class SparseDistanceCache {
  public:
   /// Exact accounting since construction. hits + misses == lookups.

@@ -8,9 +8,9 @@
 //    "error":{"code":"bad_request","message":"..."}}
 // Stable error codes: bad_request, unknown_op, no_session, bad_scenario,
 // resource_limit, deadline_exceeded, internal. "resource_limit" means the
-// request asked for more than the server will allocate (e.g. a dense
-// distance matrix on a city over the configured node limit — retry with a
-// sparse oracle engine); the server itself stays healthy.
+// request asked for more than the server will allocate; the server itself
+// stays healthy. No request raises it today — it is reserved for resource
+// caps such as a connection limit.
 //
 // This header owns the JSON value model (parse + serialize) and the error
 // vocabulary; src/serve/server.h owns dispatch. The parser is deliberately

@@ -17,6 +17,7 @@
 #include "src/trace/flow_extractor.h"
 #include "src/trace/generator.h"
 #include "src/trace/io.h"
+#include "src/traffic/oracle_detour.h"
 #include "src/util/rng.h"
 
 namespace rap::serve {
@@ -159,7 +160,6 @@ std::size_t estimate_bytes(const ServeScenario& scenario) {
   bytes += path_nodes * sizeof(graph::NodeId);  // the paths themselves
   bytes += scenario.net.num_nodes() * 2 * 16;   // to-shop + from-shop trees
   bytes += path_nodes * 2 * 16;                 // incidence index, both axes
-  if (scenario.oracle != nullptr) bytes += scenario.oracle->memory_bytes();
   return bytes;
 }
 
@@ -223,8 +223,7 @@ std::uint64_t scenario_key(const ScenarioSpec& spec) {
 }
 
 std::shared_ptr<const ServeScenario> build_scenario(
-    const ScenarioSpec& spec, std::uint64_t key,
-    const traffic::DetourEnginePolicy& policy) {
+    const ScenarioSpec& spec, std::uint64_t key) {
   validate_spec(spec);
   const obs::Span span("serve.scenario_build");
   auto scenario = std::make_shared<ServeScenario>();
@@ -249,10 +248,9 @@ std::shared_ptr<const ServeScenario> build_scenario(
       traffic::make_utility(utility_kind_or_throw(spec.utility), spec.range);
   scenario->shop = pick_shop(spec, scenario->net, scenario->flows);
   traffic::DetourEngine engine = traffic::make_detour_engine(
-      scenario->net, scenario->shop, scenario->flows, policy);
+      scenario->net, scenario->shop, scenario->flows);
   scenario->detours = std::move(engine.detours);
   scenario->detour_engine = std::move(engine.engine);
-  scenario->oracle = std::move(engine.oracle);
   scenario->problem = std::make_unique<core::PlacementProblem>(
       scenario->net, scenario->flows, scenario->shop, *scenario->utility,
       std::make_unique<SharedDetours>(scenario->detours));
@@ -261,8 +259,8 @@ std::shared_ptr<const ServeScenario> build_scenario(
                       std::to_string(scenario->net.num_nodes()) +
                       " intersections, " + std::to_string(scenario->flows.size()) +
                       " flows, utility " + scenario->utility->name();
-  // The classic engine keeps the historical summary byte-identical; oracle
-  // engines announce themselves.
+  // Scenarios labelled "dijkstra" keep the historical summary
+  // byte-identical; metro-sized ones announce their label.
   if (scenario->detour_engine != "dijkstra") {
     scenario->summary += ", detours " + scenario->detour_engine;
   }

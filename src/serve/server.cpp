@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/apsp.h"
 #include "src/obs/events.h"
 #include "src/traffic/flow.h"
 #include "src/util/thread_pool.h"
@@ -260,7 +259,7 @@ JsonValue Server::handle_load(ClientLock& client,
       // Build outside every lock: concurrent clients racing on the same key
       // both build, and the second insert refreshes the first — benign,
       // content-keyed results are interchangeable.
-      scenario = build_scenario(spec, key, options_.detours);
+      scenario = build_scenario(spec, key);
       {
         const util::MutexLock lock(stats_mutex_);
         ++scenario_builds_;
@@ -273,11 +272,6 @@ JsonValue Server::handle_load(ClientLock& client,
     }
   } catch (const RequestError&) {
     throw;
-  } catch (const graph::DenseLimitError& error) {
-    // A forced dense engine on a city over the matrix node limit: the guard
-    // fires before the n^2 allocation, so the refusal is instant and the
-    // server stays up.
-    throw RequestError("resource_limit", error.what());
   } catch (const std::exception& error) {
     throw RequestError("bad_scenario", error.what());
   }

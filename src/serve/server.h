@@ -84,12 +84,6 @@ struct ServerOptions {
   /// Structured JSONL sink for request/cache/warm-start events; nullptr
   /// disables logging. Must outlive the server.
   obs::EventLog* log = nullptr;
-  /// Detour engine policy for every scenario this server builds (rap_serve
-  /// --oracle* flags). Every engine prices detours from the shop's two
-  /// Dijkstra trees; the default "auto" builds no oracle on small cities
-  /// and the ALT oracle above the node threshold. A forced dense matrix
-  /// over its node limit turns into a "resource_limit" error response.
-  traffic::DetourEnginePolicy detours;
   /// Segment store directory (rap_serve --store-dir); empty disables
   /// persistence. The constructor opens the store and rehydrates the cache
   /// from it, and every scenario built afterwards is persisted under its

@@ -390,7 +390,7 @@ std::string ScenarioStore::segment_path(std::uint64_t key) const {
 
 bool ScenarioStore::put(const ServeScenario& scenario) {
   // Extract the shop's d'/d'' arrays from the shop's trees — what every
-  // engine prices with. Rehydrated scenarios (StoredDetours) re-persist
+  // detour is priced with. Rehydrated scenarios (StoredDetours) re-persist
   // losslessly, e.g. into a new store.
   const auto* calculator =
       dynamic_cast<const traffic::DetourCalculator*>(scenario.detours.get());

@@ -38,11 +38,10 @@
 // reject other versions (counted corrupt), so a downgraded server treats
 // new-format segments as absent and rebuilds — never misreads.
 //
-// Every engine prices detours from the shop's d'/d'' arrays, which are O(n)
-// and fully determine every detour, including detours of flows added later
-// by deltas — so every built scenario is persisted, whatever its engine
-// name. The oracle an oracle engine built is not stored: no pricing reads
-// it. put() skips only scenarios whose detour source is neither a
+// Detours are priced from the shop's d'/d'' arrays, which are O(n) and
+// fully determine every detour, including detours of flows added later by
+// deltas — so every built scenario is persisted, whatever its engine
+// label. put() skips only scenarios whose detour source is neither a
 // DetourCalculator nor StoredDetours (counted in Stats::skipped).
 #pragma once
 

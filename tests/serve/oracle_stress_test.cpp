@@ -1,104 +1,41 @@
-// Serve layer on oracle detour engines (ctest label "serve-stress", TSan'd
-// in CI): an oracle-engined server must answer placements bitwise identical
-// to the classic Dijkstra-engined server, concurrent sessions on a shared
-// oracle scenario must stay coherent (thread-local search scratch + the
-// internally synchronised distance cache), and a forced dense engine over
-// its node limit must produce a structured "resource_limit" error instead
-// of an n^2 allocation.
+// Serve layer on metro-sized scenarios (ctest label "serve-stress", TSan'd
+// in CI): a city above the 4,096-intersection crossover is labelled "alt"
+// in its summary and `load` reply, and concurrent sessions on one shared
+// scenario of that size stay coherent.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/serve/protocol.h"
+#include "src/graph/io.h"
 #include "src/serve/scenario_cache.h"
-#include "src/serve/server.h"
 #include "src/serve/session.h"
+#include "src/trace/io.h"
+#include "tests/testing/builders.h"
 
 namespace rap::serve {
 namespace {
 
-constexpr const char* kLoadRequest =
-    R"({"op":"load","city":"grid","seed":3,"journeys":40,"d":1500})";
-
-JsonValue handle(Server& server, const std::string& line) {
-  return parse_json(server.handle_line(line));
-}
-
-JsonValue::Object expect_ok(const JsonValue& response) {
-  const JsonValue::Object& object = response.as_object();
-  EXPECT_TRUE(object.at("ok").as_bool()) << to_json(response);
-  return object;
-}
-
-TEST(ServeOracle, OracleEngineMatchesDijkstraEngineBitwise) {
-  // Same scenario, both engines: the load reports which engine priced it
-  // and the k=6 placements (nodes AND objective) are identical.
-  Server classic;
-  ServerOptions oracle_options;
-  oracle_options.detours.engine = "alt";
-  Server oracled(oracle_options);
-
-  const JsonValue::Object& classic_load =
-      expect_ok(handle(classic, kLoadRequest));
-  const JsonValue::Object& oracle_load =
-      expect_ok(handle(oracled, kLoadRequest));
-  EXPECT_EQ(classic_load.at("engine").as_string(), "dijkstra");
-  EXPECT_EQ(oracle_load.at("engine").as_string(), "alt");
-
-  const std::string place = R"({"op":"place","k":6})";
-  const std::string classic_result =
-      to_json(expect_ok(handle(classic, place)).at("result"));
-  const std::string oracle_result =
-      to_json(expect_ok(handle(oracled, place)).at("result"));
-  EXPECT_EQ(classic_result, oracle_result);
-}
-
-TEST(ServeOracle, BidirectionalEngineMatchesToo) {
-  ServerOptions options;
-  options.detours.engine = "bidijkstra";
-  Server bidi(options);
-  Server classic;
-  expect_ok(handle(classic, kLoadRequest));
-  const JsonValue::Object& load = expect_ok(handle(bidi, kLoadRequest));
-  EXPECT_EQ(load.at("engine").as_string(), "bidijkstra");
-  const std::string place = R"({"op":"place","k":4})";
-  EXPECT_EQ(to_json(expect_ok(handle(classic, place)).at("result")),
-            to_json(expect_ok(handle(bidi, place)).at("result")));
-}
-
-TEST(ServeOracle, ForcedDenseOverNodeLimitIsResourceLimit) {
-  ServerOptions options;
-  options.detours.engine = "dense";
-  options.detours.oracle.matrix_node_limit = 16;  // grid city has 225 nodes
-  Server server(options);
-  const JsonValue response = handle(server, kLoadRequest);
-  const JsonValue::Object& object = response.as_object();
-  ASSERT_FALSE(object.at("ok").as_bool());
-  EXPECT_EQ(object.at("error").as_object().at("code").as_string(),
-            "resource_limit");
-  // The server stays healthy: the same scenario loads on a sparse engine.
-  ServerOptions sparse;
-  sparse.detours.engine = "alt";
-  Server recovered(sparse);
-  expect_ok(handle(recovered, kLoadRequest));
+/// A 65 x 65 grid with non-integer chords: 4,225 intersections, just above
+/// the engine label crossover.
+ScenarioSpec metro_spec() {
+  util::Rng rng(3);
+  const graph::RoadNetwork net = testing::random_network(65, 65, 40, rng);
+  ScenarioSpec spec;
+  spec.network_csv = graph::network_to_csv(net);
+  spec.flows_csv = trace::flows_to_csv(testing::random_flows(net, 40, rng));
+  spec.range = 30.0;
+  spec.shop = 32 * 65 + 32;
+  return spec;
 }
 
 TEST(ServeOracle, ConcurrentSessionsShareOneOracleScenario) {
-  // Many sessions on one shared oracle-engined scenario, placing and
-  // evaluating concurrently: thread-local oracle scratch plus the mutexed
-  // distance cache must keep every answer identical to the reference.
-  ScenarioSpec spec;
-  spec.city = "grid";
-  spec.seed = 3;
-  spec.journeys = 40;
-  spec.range = 1'500.0;
-  traffic::DetourEnginePolicy policy;
-  policy.engine = "alt";
-  const auto scenario = build_scenario(spec, scenario_key(spec), policy);
+  // Many sessions on one shared metro-sized scenario, placing concurrently:
+  // every answer must stay identical to the reference.
+  const ScenarioSpec spec = metro_spec();
+  const auto scenario = build_scenario(spec, scenario_key(spec));
   ASSERT_EQ(scenario->detour_engine, "alt");
-  ASSERT_NE(scenario->oracle, nullptr);
 
   Session reference(scenario);
   const WarmStartResult want = reference.place(5, {});
@@ -129,15 +66,14 @@ TEST(ServeOracle, ConcurrentSessionsShareOneOracleScenario) {
 }
 
 TEST(ServeOracle, OracleScenarioSummaryAnnouncesTheEngine) {
+  const ScenarioSpec metro = metro_spec();
+  const auto labelled = build_scenario(metro, scenario_key(metro));
+  EXPECT_NE(labelled->summary.find("detours alt"), std::string::npos);
+  // Cities up to the crossover keep the historical summary untouched.
   ScenarioSpec spec;
   spec.city = "grid";
   spec.seed = 1;
   spec.journeys = 20;
-  traffic::DetourEnginePolicy policy;
-  policy.engine = "alt";
-  const auto oracled = build_scenario(spec, scenario_key(spec), policy);
-  EXPECT_NE(oracled->summary.find("detours alt"), std::string::npos);
-  // The default engine keeps the historical summary untouched.
   const auto classic = build_scenario(spec, scenario_key(spec));
   EXPECT_EQ(classic->summary.find("detours"), std::string::npos);
   EXPECT_EQ(classic->detour_engine, "dijkstra");

@@ -1,5 +1,5 @@
 // Scenario store tests: restart rehydration with zero rebuilds, bitwise
-// identical placements on rehydrated scenarios (oracle engines included),
+// identical placements on rehydrated scenarios (metro-sized ones included),
 // and corruption detection.
 #include "src/serve/store.h"
 
@@ -10,8 +10,11 @@
 #include <fstream>
 #include <string>
 
+#include "src/graph/io.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
+#include "src/trace/io.h"
+#include "tests/testing/builders.h"
 
 namespace rap::serve {
 namespace {
@@ -43,6 +46,21 @@ double server_stat(Server& server, const char* field) {
       .as_object()
       .at(field)
       .as_number();
+}
+
+/// `load` of a 65 x 65 grid with chords given as inline CSV: 4,225
+/// intersections, above the engine label crossover.
+std::string metro_load_request() {
+  util::Rng rng(3);
+  const graph::RoadNetwork net = testing::random_network(65, 65, 40, rng);
+  JsonValue::Object request;
+  request.emplace("op", "load");
+  request.emplace("network_csv", graph::network_to_csv(net));
+  request.emplace("flows_csv",
+                  trace::flows_to_csv(testing::random_flows(net, 40, rng)));
+  request.emplace("d", 30.0);
+  request.emplace("shop", 32.0 * 65.0 + 32.0);
+  return to_json(request);
 }
 
 ServerOptions store_options(const std::string& dir) {
@@ -173,17 +191,16 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
 }
 
 TEST(ServeStore, OracleScenariosPersistAndPlaceBitwise) {
-  // Every engine prices from the shop's two Dijkstra trees, so an
-  // alt-engined scenario persists its d'/d'' arrays like any other and
-  // places bitwise like the original after a restart.
+  // A city above the 4,096-intersection crossover is labelled "alt"; its
+  // scenario persists its d'/d'' arrays like any other, keeps the label
+  // through a restart and places bitwise like the original.
   const std::string dir = temp_store_dir("oracle");
-  ServerOptions options = store_options(dir);
-  options.detours.engine = "alt";
+  const std::string load = metro_load_request();
   std::string fresh_place;
   std::string fresh_batch;
   {
-    Server server(options);
-    const JsonValue::Object loaded = expect_ok(server, load_request(7));
+    Server server(store_options(dir));
+    const JsonValue::Object loaded = expect_ok(server, load);
     EXPECT_EQ(loaded.at("engine").as_string(), "alt");
     ASSERT_NE(server.store(), nullptr);
     EXPECT_EQ(server.store()->stats().skipped, 0U);
@@ -191,9 +208,9 @@ TEST(ServeStore, OracleScenariosPersistAndPlaceBitwise) {
     fresh_place = server.handle_line(R"({"op":"place","k":3})");
     fresh_batch = server.handle_line(R"({"op":"place_batch","ks":[1,2,4]})");
   }
-  Server restarted(options);
+  Server restarted(store_options(dir));
   ASSERT_EQ(restarted.rehydrated_at_start(), 1U);
-  const JsonValue::Object loaded = expect_ok(restarted, load_request(7));
+  const JsonValue::Object loaded = expect_ok(restarted, load);
   EXPECT_EQ(loaded.at("source").as_string(), "cache");
   EXPECT_EQ(loaded.at("engine").as_string(), "alt");
   EXPECT_EQ(restarted.handle_line(R"({"op":"place","k":3})"), fresh_place);

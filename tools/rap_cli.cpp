@@ -28,15 +28,6 @@
 //                                bound on OPT (src/exact, DESIGN.md §16) and
 //                                report the optimality gap of the placement:
 //                                gap = (bound - achieved) / bound
-//   --oracle=auto|dijkstra|dense|bidijkstra|alt   detour engine (DESIGN.md
-//                                §13): which distance oracle to build; "auto"
-//                                builds none up to --oracle-node-limit
-//                                intersections and ALT above. Every engine
-//                                prices detours from the shop's two Dijkstra
-//                                trees, so placements are bitwise identical
-//                                for every engine
-//   --oracle-node-limit=N        the auto crossover (default 4096)
-//   --oracle-landmarks=N         ALT landmark count (default 8)
 //   --save-network --save-flows --geojson          outputs
 //   --threads=N                  worker threads for parallel kernels (APSP,
 //                                greedy scans); default: hardware
@@ -51,7 +42,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -73,7 +63,6 @@
 #include "src/trace/flow_extractor.h"
 #include "src/trace/generator.h"
 #include "src/trace/io.h"
-#include "src/traffic/oracle_detour.h"
 #include "src/util/cli.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -277,24 +266,10 @@ int main(int argc, char** argv) {
     }
 
     // 3. Place.
-    traffic::DetourEnginePolicy engine_policy;
-    engine_policy.engine = flags.get_string("oracle", "auto");
-    engine_policy.dijkstra_node_limit = static_cast<std::size_t>(flags.get_int(
-        "oracle-node-limit",
-        static_cast<std::int64_t>(engine_policy.dijkstra_node_limit)));
-    engine_policy.oracle.landmarks = static_cast<std::size_t>(flags.get_int(
-        "oracle-landmarks",
-        static_cast<std::int64_t>(engine_policy.oracle.landmarks)));
     std::optional<core::PlacementProblem> problem;
     {
       const obs::Span span("model_build");
-      const traffic::DetourEngine built = traffic::make_detour_engine(
-          inputs.net, shop, inputs.flows, engine_policy);
-      if (!quiet && built.engine != "dijkstra") {
-        std::cout << "detour engine: " << built.engine << "\n";
-      }
-      problem.emplace(inputs.net, inputs.flows, shop, *utility,
-                      std::make_unique<traffic::SharedDetours>(built.detours));
+      problem.emplace(inputs.net, inputs.flows, shop, *utility);
     }
     const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
     const std::string algorithm = flags.get_string("algorithm", "alg2");

@@ -10,10 +10,10 @@
 //   delta  — serve-layer incremental updates: replay random delta sequences
 //            through a serve session and require the warm-start placement to
 //            match a from-scratch lazy greedy bit-for-bit;
-//   oracle — distance-oracle backends (bidirectional Dijkstra, ALT) against
-//            the dense APSP matrix: distances, detours and placements must
-//            be bitwise identical, serial and parallel, cached and uncached
-//            (DESIGN.md §13);
+//   oracle — the production detour pricer (the shop's Dijkstra trees)
+//            against the Bellman–Ford reference in src/check: detours in
+//            both modes and placements must be bitwise identical, serial
+//            and parallel (DESIGN.md §13);
 //   exact  — certified upper bounds (src/exact): soundness against every
 //            greedy family, exactness against the exhaustive optimum at toy
 //            budgets, certificate replay, and bitwise serial-vs-parallel
@@ -52,7 +52,7 @@ struct FamilyInfo {
 constexpr FamilyInfo kFamilies[] = {
     {"core", "algorithm differential checks (default)"},
     {"delta", "serve-layer incremental updates vs from-scratch greedy"},
-    {"oracle", "distance-oracle backends vs dense APSP"},
+    {"oracle", "detour pricer vs Bellman-Ford reference"},
     {"exact", "certified upper bounds: soundness, exactness, determinism"},
     {"all", "every family above"},
 };

@@ -5,8 +5,6 @@
 //             [--trace-out=FILE] [--ring-capacity=N]
 //             [--log-out=FILE] [--log-level=debug|info|warn|error]
 //             [--virtual-ticks]
-//             [--oracle=auto|dijkstra|dense|bidijkstra|alt]
-//             [--oracle-node-limit=N] [--oracle-landmarks=N]
 //             [--listen=SOCKET] [--store-dir=DIR]
 //
 //   $ echo '{"op":"load","city":"grid","seed":1,"utility":"linear","d":2500}' |
@@ -40,13 +38,10 @@
 //                  clock (one 1 ms tick per request) so traces, logs and
 //                  stats snapshots are byte-reproducible across runs.
 //
-// Detour engine (DESIGN.md §13): --oracle picks the distance oracle a
-// scenario builds. "auto" (default) builds none on cities up to
-// --oracle-node-limit intersections and the ALT oracle above it. Every
-// engine prices detours from the shop's two Dijkstra trees, so placements
-// are bitwise identical either way, on any city. Forcing --oracle=dense on
-// a city over the matrix node limit yields a structured "resource_limit"
-// error response instead of an n^2 allocation.
+// Detours (DESIGN.md §13): every scenario prices detours from the shop's
+// two Dijkstra trees. The `load` reply's "engine" field labels the city by
+// size — "dijkstra" up to 4,096 intersections, "alt" above — and never
+// changes an answer.
 //
 // In RAP_AUDIT builds every placement the server computes runs under the
 // invariant auditor (src/check/audit.h) — a violated invariant turns into
@@ -68,7 +63,6 @@
 #include "src/obs/trace_export.h"
 #include "src/serve/server.h"
 #include "src/serve/transport.h"
-#include "src/traffic/oracle_detour.h"
 #include "src/util/cli.h"
 #include "src/util/thread_pool.h"
 #include "tools/version_info.h"
@@ -95,22 +89,10 @@ int main(int argc, char** argv) {
     const bool virtual_ticks = flags.get_bool("virtual-ticks", false);
     const std::string listen = flags.get_string("listen", "");
     options.store_dir = flags.get_string("store-dir", "");
-    options.detours.engine = flags.get_string("oracle", "auto");
-    options.detours.dijkstra_node_limit =
-        static_cast<std::size_t>(flags.get_int(
-            "oracle-node-limit",
-            static_cast<std::int64_t>(options.detours.dijkstra_node_limit)));
-    options.detours.oracle.landmarks =
-        static_cast<std::size_t>(flags.get_int(
-            "oracle-landmarks",
-            static_cast<std::int64_t>(options.detours.oracle.landmarks)));
     for (const std::string& unknown : flags.unused()) {
       std::cerr << "rap_serve: unknown flag --" << unknown << "\n";
       return 2;
     }
-    // Fail fast on a bad --oracle name instead of erroring on the first
-    // load request.
-    (void)rap::traffic::resolve_detour_engine(options.detours, 0);
     if (options.threads != 0) {
       rap::util::set_parallel_config({options.threads});
     }
