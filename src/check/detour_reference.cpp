@@ -55,25 +55,28 @@ ReferenceDetours::ReferenceDetours(const graph::RoadNetwork& net,
       to_shop_(fixpoint_distances(net, shop, graph::Direction::kReverse)),
       from_shop_(fixpoint_distances(net, shop, graph::Direction::kForward)) {}
 
-std::vector<double> ReferenceDetours::detours_along_path(
-    const traffic::TrafficFlow& flow) const {
+void ReferenceDetours::price(const traffic::TrafficFlow& flow,
+                             std::span<double> out) const {
   const std::vector<graph::NodeId>& path = flow.path;
-  for (const graph::NodeId v : path) net_->check_node(v);
-  net_->check_node(flow.destination);
-  std::vector<double> out(path.size(), graph::kUnreachable);
-  if (path.empty()) return out;
+  const std::size_t n = net_->num_nodes();
+  if (path.empty() || flow.destination >= n ||
+      std::any_of(path.begin(), path.end(),
+                  [n](graph::NodeId v) { return v >= n; })) {
+    throw std::invalid_argument("ReferenceDetours: node outside the network");
+  }
+  // Walked distance per position, which is also the walk check.
+  std::vector<double> walked(path.size(), 0.0);
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const double step = step_length(*net_, path[i - 1], path[i]);
+    if (step == std::numeric_limits<double>::infinity()) {
+      throw std::invalid_argument("ReferenceDetours: path is not a walk");
+    }
+    walked[i] = walked[i - 1] + step;
+  }
 
   // d''' per position.
   std::vector<double> direct(path.size());
   if (mode_ == traffic::DetourMode::kAlongPath) {
-    std::vector<double> walked(path.size(), 0.0);
-    for (std::size_t i = 1; i < path.size(); ++i) {
-      const double step = step_length(*net_, path[i - 1], path[i]);
-      if (step == std::numeric_limits<double>::infinity()) {
-        throw std::invalid_argument("ReferenceDetours: path is not a walk");
-      }
-      walked[i] = walked[i - 1] + step;
-    }
     for (std::size_t i = 0; i < path.size(); ++i) {
       direct[i] = walked.back() - walked[i];
     }
@@ -85,14 +88,14 @@ std::vector<double> ReferenceDetours::detours_along_path(
     }
   }
 
+  std::fill(out.begin(), out.end(), graph::kUnreachable);
   const double d2 = from_shop_[flow.destination];
-  if (d2 == graph::kUnreachable) return out;
+  if (d2 == graph::kUnreachable) return;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const double d1 = to_shop_[path[i]];
     if (d1 == graph::kUnreachable || direct[i] == graph::kUnreachable) continue;
     out[i] = std::max(0.0, d1 + d2 - direct[i]);
   }
-  return out;
 }
 
 }  // namespace rap::check

@@ -15,6 +15,7 @@
 // ulp on non-integer street lengths and fails the family.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/graph/road_network.h"
@@ -30,20 +31,20 @@ namespace rap::check {
     const graph::RoadNetwork& net, graph::NodeId source,
     graph::Direction direction);
 
-/// The reference detour pricer. Stateless after construction, so
-/// detours_along_path is safe to call concurrently.
+/// The reference detour pricer. Stateless after construction, so pricing
+/// is safe to call concurrently. Like every DetourSource it throws
+/// std::invalid_argument on a node id outside `net` or a path that is not a
+/// walk, in both modes.
 class ReferenceDetours final : public traffic::DetourSource {
  public:
   /// `net` must outlive the reference.
   ReferenceDetours(const graph::RoadNetwork& net, graph::NodeId shop,
                    traffic::DetourMode mode = traffic::DetourMode::kAlongPath);
 
-  /// Throws std::out_of_range on a node id outside `net`, and
-  /// std::invalid_argument (kAlongPath) when the path is not a walk.
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override;
-
  private:
+  void price(const traffic::TrafficFlow& flow,
+             std::span<double> out) const override;
+
   const graph::RoadNetwork* net_;
   traffic::DetourMode mode_;
   std::vector<double> to_shop_;    // d'

@@ -1,5 +1,6 @@
 #include "src/check/oracle_fuzz.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -8,6 +9,8 @@
 #include "src/check/scenario.h"
 #include "src/core/composite_greedy.h"
 #include "src/core/lazy_greedy.h"
+#include "src/graph/path.h"
+#include "src/traffic/incidence.h"
 #include "src/traffic/oracle_detour.h"
 #include "src/util/thread_pool.h"
 
@@ -61,6 +64,100 @@ void check_detours(const Scenario& scenario,
   }
 }
 
+/// The coverage index assembled independently of traffic::IncidenceIndex:
+/// per-flow detour vectors from the reference pricer, duplicate path nodes
+/// collapsed by a linear search of the flow's stops, and the node view
+/// appended flow by flow instead of transposed from CSR offsets.
+struct ReferenceIndex {
+  std::vector<std::vector<traffic::FlowStop>> stops;          // per flow
+  std::vector<std::vector<traffic::NodeIncidence>> at_node;   // per node
+  std::vector<double> vehicles;                               // per node
+};
+
+ReferenceIndex reference_index(const graph::RoadNetwork& net,
+                               const std::vector<traffic::TrafficFlow>& flows,
+                               const traffic::DetourSource& reference) {
+  ReferenceIndex index;
+  const std::size_t n = net.num_nodes();
+  index.at_node.resize(n);
+  index.vehicles.assign(n, 0.0);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const traffic::TrafficFlow& flow = flows[f];
+    const std::vector<double> detours = reference.detours_along_path(flow);
+    std::vector<traffic::FlowStop> stops;
+    for (std::uint32_t i = 0; i < flow.path.size(); ++i) {
+      const auto seen =
+          std::find_if(stops.begin(), stops.end(), [&](const auto& stop) {
+            return stop.node == flow.path[i];
+          });
+      if (seen == stops.end()) {
+        stops.push_back({flow.path[i], i, detours[i]});
+      } else {
+        seen->detour = std::min(seen->detour, detours[i]);
+      }
+    }
+    for (const traffic::FlowStop& stop : stops) {
+      index.at_node[stop.node].push_back(
+          {static_cast<traffic::FlowIndex>(f), stop.detour});
+      index.vehicles[stop.node] += flow.daily_vehicles;
+    }
+    index.stops.push_back(std::move(stops));
+  }
+  return index;
+}
+
+/// The scenario's flows with a back-and-forth step appended where the
+/// street allows it (..., u, v becomes ..., u, v, u, v), so paths revisit
+/// nodes at different detours and the index must collapse them. Generated
+/// flows are shortest paths, which never revisit a node.
+std::vector<traffic::TrafficFlow> revisiting_flows(const Scenario& scenario) {
+  std::vector<traffic::TrafficFlow> flows = scenario.flows;
+  for (traffic::TrafficFlow& flow : flows) {
+    const std::size_t m = flow.path.size();
+    if (m < 2) continue;
+    std::vector<graph::NodeId> path = flow.path;
+    path.push_back(flow.path[m - 2]);
+    path.push_back(flow.path[m - 1]);
+    if (graph::is_walk(scenario.net, path)) flow.path = std::move(path);
+  }
+  return flows;
+}
+
+/// The production index against the reference index — exact equality of
+/// stops_of, at_node, passing_vehicles and passing_flow_count.
+void check_incidence(const ReferenceIndex& want,
+                     const traffic::IncidenceIndex& got,
+                     const std::string& check_name, OracleFuzzReport& report) {
+  ++report.checks_run;
+  if (got.num_flows() != want.stops.size() ||
+      got.num_nodes() != want.at_node.size()) {
+    report.failures.push_back({check_name, "index dimensions differ"});
+    return;
+  }
+  for (traffic::FlowIndex f = 0; f < got.num_flows(); ++f) {
+    if (!std::ranges::equal(got.stops_of(f), want.stops[f])) {
+      report.failures.push_back(
+          {check_name, "stops_of(" + std::to_string(f) + ") differs"});
+      return;
+    }
+  }
+  for (graph::NodeId v = 0; v < got.num_nodes(); ++v) {
+    std::string what;
+    if (!std::ranges::equal(got.at_node(v), want.at_node[v])) {
+      what = "at_node";
+    } else if (got.passing_vehicles(v) != want.vehicles[v]) {
+      what = "passing_vehicles";
+    } else if (got.passing_flow_count(v) != want.at_node[v].size()) {
+      what = "passing_flow_count";
+    } else {
+      continue;
+    }
+    report.failures.push_back(
+        {check_name, what + "(" + std::to_string(v) + ") differs"});
+    return;
+  }
+}
+
 void check_placements(const core::PlacementResult& want,
                       const core::PlacementResult& got,
                       const std::string& check_name,
@@ -111,6 +208,31 @@ OracleFuzzReport fuzz_oracle_one(std::uint64_t seed,
                   std::string("detours_") + mode_name, report);
   }
 
+  // Coverage-model parity: the production index (the one-pass build inside
+  // PlacementProblem, an index priced in kShortestPath mode, and one over
+  // paths that revisit nodes) against one assembled from the reference's
+  // per-flow vectors.
+  const std::unique_ptr<core::PlacementProblem> production =
+      build_production_problem(*scenario);
+  const ReferenceDetours along(net, scenario->shop);
+  check_incidence(reference_index(net, scenario->flows, along),
+                  production->incidence(), "incidence_along", report);
+  check_incidence(
+      reference_index(net, scenario->flows,
+                      ReferenceDetours(net, scenario->shop,
+                                       traffic::DetourMode::kShortestPath)),
+      traffic::IncidenceIndex(
+          net, scenario->flows,
+          traffic::DetourCalculator(net, scenario->shop,
+                                    traffic::DetourMode::kShortestPath)),
+      "incidence_shortest", report);
+  const std::vector<traffic::TrafficFlow> revisiting =
+      revisiting_flows(*scenario);
+  check_incidence(
+      reference_index(net, revisiting, along),
+      traffic::IncidenceIndex(net, revisiting, production->detours()),
+      "incidence_revisits", report);
+
   // Placement parity: the same algorithms over the production problem and
   // a reference-priced problem must pick identical nodes and objectives.
   // Lazy-vs-lazy and composite-vs-composite are valid for every utility
@@ -118,8 +240,6 @@ OracleFuzzReport fuzz_oracle_one(std::uint64_t seed,
   const core::PlacementProblem reference_problem(
       net, scenario->flows, scenario->shop, *scenario->utility,
       std::make_unique<ReferenceDetours>(net, scenario->shop));
-  const std::unique_ptr<core::PlacementProblem> production =
-      build_production_problem(*scenario);
   const core::PlacementResult production_lazy =
       core::lazy_marginal_greedy_placement(*production, scenario->k);
   check_placements(

@@ -19,17 +19,17 @@ MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
   }
 }
 
-std::vector<double> MultiShopDetour::detours_along_path(
-    const traffic::TrafficFlow& flow) const {
-  std::vector<double> best = calculators_.front().detours_along_path(flow);
+void MultiShopDetour::price(const traffic::TrafficFlow& flow,
+                            std::span<double> out) const {
+  calculators_.front().detours_into(flow, out);
+  if (calculators_.size() == 1) return;
+  std::vector<double> candidate(out.size());
   for (std::size_t s = 1; s < calculators_.size(); ++s) {
-    const std::vector<double> candidate =
-        calculators_[s].detours_along_path(flow);
-    for (std::size_t i = 0; i < best.size(); ++i) {
-      best[i] = std::min(best[i], candidate[i]);
+    calculators_[s].detours_into(flow, candidate);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::min(out[i], candidate[i]);
     }
   }
-  return best;
 }
 
 PlacementProblem make_multishop_problem(

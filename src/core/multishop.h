@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/problem.h"
@@ -31,10 +32,10 @@ class MultiShopDetour final : public traffic::DetourSource {
     return shops_;
   }
 
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override;
-
  private:
+  void price(const traffic::TrafficFlow& flow,
+             std::span<double> out) const override;
+
   std::vector<graph::NodeId> shops_;
   std::vector<traffic::DetourCalculator> calculators_;
 };

@@ -26,9 +26,7 @@ PlacementProblem::PlacementProblem(
   if (!detours_) {
     throw std::invalid_argument("PlacementProblem: null detour source");
   }
-  for (const traffic::TrafficFlow& flow : flows_) {
-    traffic::validate_flow(net, flow);
-  }
+  // The index validates each flow once, as it prices it.
   incidence_ =
       std::make_unique<traffic::IncidenceIndex>(net, flows_, *detours_);
 }

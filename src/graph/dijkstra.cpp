@@ -102,6 +102,11 @@ ShortestPathTree dijkstra(const RoadNetwork& net, NodeId source,
   return {source, direction, std::move(result.dist), std::move(result.parent)};
 }
 
+std::vector<double> shortest_distances(const RoadNetwork& net, NodeId source,
+                                       Direction direction) {
+  return run(net, source, direction, kInvalidNode).dist;
+}
+
 double dijkstra_distance(const RoadNetwork& net, NodeId source, NodeId target) {
   net.check_node(target);
   if (source == target) return 0.0;

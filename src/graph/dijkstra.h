@@ -58,6 +58,12 @@ class ShortestPathTree {
 [[nodiscard]] ShortestPathTree dijkstra(const RoadNetwork& net, NodeId source,
                                         Direction direction = Direction::kForward);
 
+/// The distance array of dijkstra(net, source, direction), without the
+/// parent links.
+[[nodiscard]] std::vector<double> shortest_distances(
+    const RoadNetwork& net, NodeId source,
+    Direction direction = Direction::kForward);
+
 /// Point-to-point distance with early exit once `target` is settled.
 [[nodiscard]] double dijkstra_distance(const RoadNetwork& net, NodeId source,
                                        NodeId target);

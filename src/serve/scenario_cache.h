@@ -82,8 +82,8 @@ struct ServeScenario {
   std::unique_ptr<traffic::UtilityFunction> utility;
   graph::NodeId shop = graph::kInvalidNode;
   /// The shop detour engine, shared into delta rebuilds via SharedDetours:
-  /// the shop's DetourCalculator, or StoredDetours on a rehydrated
-  /// scenario.
+  /// the shop's DetourCalculator (on a rehydrated scenario, one rebuilt
+  /// from the segment's stored d'/d'' arrays).
   std::shared_ptr<const traffic::DetourSource> detours;
   /// Engine label (make_detour_engine): "dijkstra" up to 4,096
   /// intersections, "alt" above. Pricing is the same either way.

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "src/core/problem.h"
-#include "src/graph/path.h"
 #include "src/obs/events.h"
 #include "src/obs/telemetry.h"
 #include "src/traffic/utility.h"
@@ -301,8 +300,8 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
   scenario->shop = header.shop;
   scenario->utility =
       traffic::make_utility(utility_kind_from_name(utility_name), header.range);
-  scenario->detours = std::make_shared<StoredDetours>(
-      scenario->net, std::move(to_shop), std::move(from_shop));
+  scenario->detours = std::make_shared<traffic::DetourCalculator>(
+      scenario->net, scenario->shop, std::move(to_shop), std::move(from_shop));
   // The problem rebuild below revalidates every flow against the rebuilt
   // network, so a tampered path that survives the checksum still throws.
   scenario->problem = std::make_unique<core::PlacementProblem>(
@@ -344,36 +343,6 @@ std::string key_filename(std::uint64_t key) {
 
 }  // namespace
 
-StoredDetours::StoredDetours(const graph::RoadNetwork& net,
-                             std::vector<double> to_shop,
-                             std::vector<double> from_shop)
-    : net_(&net), to_shop_(std::move(to_shop)), from_shop_(std::move(from_shop)) {
-  if (to_shop_.size() != net.num_nodes() ||
-      from_shop_.size() != net.num_nodes()) {
-    throw std::invalid_argument(
-        "StoredDetours: distance arrays must cover every node");
-  }
-}
-
-std::vector<double> StoredDetours::detours_along_path(
-    const traffic::TrafficFlow& flow) const {
-  // Mirrors DetourCalculator::detours_along_path (kAlongPath mode) term for
-  // term, so rehydrated detours are bitwise identical to freshly priced
-  // ones: d = max(0, d' + d'' - d''').
-  traffic::validate_flow(*net_, flow);
-  const double d2 = from_shop_[flow.destination];  // d''
-  std::vector<double> out(flow.path.size(), graph::kUnreachable);
-  if (d2 == graph::kUnreachable) return out;
-  const std::vector<double> cum = graph::cumulative_lengths(*net_, flow.path);
-  for (std::size_t i = 0; i < flow.path.size(); ++i) {
-    const double direct = cum.back() - cum[i];  // d''' along the driver's route
-    const double d1 = to_shop_[flow.path[i]];   // d'
-    if (d1 == graph::kUnreachable) continue;
-    out[i] = std::max(0.0, d1 + d2 - direct);
-  }
-  return out;
-}
-
 ScenarioStore::ScenarioStore(std::string directory)
     : directory_(std::move(directory)) {
   std::error_code error;
@@ -389,33 +358,19 @@ std::string ScenarioStore::segment_path(std::uint64_t key) const {
 }
 
 bool ScenarioStore::put(const ServeScenario& scenario) {
-  // Extract the shop's d'/d'' arrays from the shop's trees — what every
-  // detour is priced with. Rehydrated scenarios (StoredDetours) re-persist
+  // The shop's d'/d'' arrays are what every detour is priced with; a
+  // rehydrated scenario carries them in the same type, so it re-persists
   // losslessly, e.g. into a new store.
   const auto* calculator =
       dynamic_cast<const traffic::DetourCalculator*>(scenario.detours.get());
-  const auto* stored =
-      dynamic_cast<const StoredDetours*>(scenario.detours.get());
-  if (calculator == nullptr && stored == nullptr) {
+  if (calculator == nullptr ||
+      calculator->mode() != traffic::DetourMode::kAlongPath) {
     const util::MutexLock lock(mutex_);
     ++stats_.skipped;
     return false;
   }
-  std::vector<double> to_shop;
-  std::vector<double> from_shop;
-  if (stored != nullptr) {
-    to_shop = stored->to_shop();
-    from_shop = stored->from_shop();
-  } else {
-    const std::size_t n = scenario.net.num_nodes();
-    to_shop.reserve(n);
-    from_shop.reserve(n);
-    for (graph::NodeId node = 0; node < n; ++node) {
-      to_shop.push_back(calculator->distance_to_shop(node));
-      from_shop.push_back(calculator->distance_from_shop(node));
-    }
-  }
-  const std::string bytes = serialize_segment(scenario, to_shop, from_shop);
+  const std::string bytes = serialize_segment(scenario, calculator->to_shop(),
+                                              calculator->from_shop());
 
   const util::MutexLock lock(mutex_);
   const std::string path = segment_path(scenario.key);

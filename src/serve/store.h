@@ -39,10 +39,14 @@
 // new-format segments as absent and rebuilds — never misreads.
 //
 // Detours are priced from the shop's d'/d'' arrays, which are O(n) and
-// fully determine every detour, including detours of flows added later by
-// deltas — so every built scenario is persisted, whatever its engine
-// label. put() skips only scenarios whose detour source is neither a
-// DetourCalculator nor StoredDetours (counted in Stats::skipped).
+// fully determine every along-path detour, including detours of flows
+// added later by deltas — so every built scenario is persisted, whatever
+// its engine label. A rehydrated scenario prices with a DetourCalculator
+// rebuilt from the stored arrays (its array constructor), i.e. with the
+// very code that priced it before the restart, so its detours and
+// placements are bitwise those of the live scenario and it re-persists to
+// a byte-identical segment. put() skips only a detour source that is not
+// an along-path DetourCalculator (counted in Stats::skipped).
 #pragma once
 
 #include <cstdint>
@@ -59,35 +63,6 @@ namespace rap::serve {
 
 /// Current segment layout version (header field; see file comment).
 inline constexpr std::uint64_t kStoreFormatVersion = 1;
-
-/// Detour source rebuilt from a segment's stored d'/d'' arrays. Replicates
-/// DetourCalculator's kAlongPath pricing bit-for-bit (same inputs, same
-/// arithmetic), and — like the live calculator — prices ANY flow on the
-/// network, so delta-added flows work on rehydrated scenarios. Safe for
-/// concurrent use (const arrays, const network access).
-class StoredDetours final : public traffic::DetourSource {
- public:
-  /// `net` must outlive the source (the owning ServeScenario pins both).
-  /// The arrays hold one distance per node; kUnreachable where
-  /// disconnected.
-  StoredDetours(const graph::RoadNetwork& net, std::vector<double> to_shop,
-                std::vector<double> from_shop);
-
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override;
-
-  [[nodiscard]] const std::vector<double>& to_shop() const noexcept {
-    return to_shop_;
-  }
-  [[nodiscard]] const std::vector<double>& from_shop() const noexcept {
-    return from_shop_;
-  }
-
- private:
-  const graph::RoadNetwork* net_;
-  std::vector<double> to_shop_;    // d' per node
-  std::vector<double> from_shop_;  // d'' per node
-};
 
 /// The persistent segment store. Thread-safe: transports and the stdio loop
 /// may put/load concurrently (one internal mutex; segment IO is quick

@@ -9,7 +9,7 @@
 
 namespace rap::traffic {
 
-void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
+void validate_flow_fields(const TrafficFlow& flow) {
   if (flow.path.empty()) {
     throw std::invalid_argument("validate_flow: empty path");
   }
@@ -17,9 +17,6 @@ void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
       flow.path.back() != flow.destination) {
     throw std::invalid_argument(
         "validate_flow: path endpoints disagree with origin/destination");
-  }
-  if (!graph::is_walk(net, flow.path)) {
-    throw std::invalid_argument("validate_flow: path is not a walk on the network");
   }
   if (!(flow.daily_vehicles >= 0.0) || !std::isfinite(flow.daily_vehicles)) {
     throw std::invalid_argument("validate_flow: daily_vehicles must be finite and >= 0");
@@ -31,6 +28,13 @@ void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
   }
   if (flow.alpha < 0.0 || flow.alpha > 1.0) {
     throw std::invalid_argument("validate_flow: alpha must be in [0, 1]");
+  }
+}
+
+void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
+  validate_flow_fields(flow);
+  if (!graph::is_walk(net, flow.path)) {
+    throw std::invalid_argument("validate_flow: path is not a walk on the network");
   }
 }
 

@@ -37,8 +37,15 @@ struct TrafficFlow {
 
 /// Throws std::invalid_argument unless the flow is well-formed on `net`:
 /// non-empty walk from origin to destination, positive volumes, alpha in
-/// [0, 1].
+/// [0, 1]. validate_flow_fields plus the walk check.
 void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow);
+
+/// The half of validate_flow that needs no network: non-empty path whose
+/// endpoints are origin and destination, positive volumes, alpha in [0, 1].
+/// Detour pricing (DetourSource::detours_into) does the walk check in the
+/// same pass that sums the path, so the model build validates each flow
+/// exactly once.
+void validate_flow_fields(const TrafficFlow& flow);
 
 /// Builds a flow travelling a shortest path from `origin` to `destination`.
 /// Throws if the destination is unreachable.

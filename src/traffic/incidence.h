@@ -7,6 +7,16 @@
 //                   (non-decreasing by Theorem 1 on shortest-path flows),
 //   * passing_vehicles / passing_flow_count — the MaxVehicles and
 //     MaxCardinality baseline rankings.
+//
+// This is the coverage-model build, and it is one walk per flow: the
+// constructor checks the flow's fields (validate_flow_fields), prices its
+// path into a reused buffer with DetourSource::detours_into — whose walk
+// check completes the validation, so each flow is validated exactly once —
+// and appends the flow's collapsed stops straight to the flow CSR array,
+// reserved once for every path node, while counting the node CSR offsets.
+// A transpose then fills the node CSR array. No per-flow table is
+// allocated. The build runs under the obs span "incidence_index" with the
+// counters incidence.flows and incidence.entries (stops after collapsing).
 #pragma once
 
 #include <span>
@@ -20,17 +30,22 @@ namespace rap::traffic {
 struct NodeIncidence {
   FlowIndex flow = 0;
   double detour = graph::kUnreachable;  ///< detour distance of `flow` at this node
+
+  friend bool operator==(const NodeIncidence&, const NodeIncidence&) = default;
 };
 
 struct FlowStop {
   graph::NodeId node = graph::kInvalidNode;
   std::uint32_t path_index = 0;  ///< first position of `node` on the path
   double detour = graph::kUnreachable;
+
+  friend bool operator==(const FlowStop&, const FlowStop&) = default;
 };
 
 class IncidenceIndex {
  public:
-  /// Validates every flow; throws std::invalid_argument on a bad one.
+  /// Validates every flow (fields here, the walk inside pricing); throws
+  /// std::invalid_argument on a bad one.
   IncidenceIndex(const graph::RoadNetwork& net,
                  const std::vector<TrafficFlow>& flows,
                  const DetourSource& detours);

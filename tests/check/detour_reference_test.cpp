@@ -118,9 +118,16 @@ TEST(DetourReference, RejectsAPathThatIsNotAWalk) {
   traffic::TrafficFlow flow = fig.flows[0];
   flow.path = {Fig4::V2, Fig4::V5};  // no street V2 -> V5
   flow.destination = Fig4::V5;
-  EXPECT_THROW((void)ReferenceDetours(fig.net, Fig4::shop)
-                   .detours_along_path(flow),
-               std::invalid_argument);
+  for (const traffic::DetourMode mode :
+       {traffic::DetourMode::kAlongPath, traffic::DetourMode::kShortestPath}) {
+    const ReferenceDetours reference(fig.net, Fig4::shop, mode);
+    EXPECT_THROW((void)reference.detours_along_path(flow),
+                 std::invalid_argument);
+    std::vector<double> out(2);
+    flow.path = {Fig4::V2, 17};  // node 17 does not exist
+    EXPECT_THROW(reference.detours_into(flow, out), std::invalid_argument);
+    flow.path = {Fig4::V2, Fig4::V5};
+  }
 }
 
 TEST(DetourReference, UnreachableShopPricesInfinity) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
@@ -21,6 +22,31 @@ TEST(MultiShopDetour, RejectsEmptyShopList) {
 TEST(MultiShopDetour, RejectsBadShopId) {
   Fig4 fig;
   EXPECT_THROW(MultiShopDetour(fig.net, {99}), std::out_of_range);
+}
+
+TEST(MultiShopDetour, RejectsNonWalksWhenNoShopReachesTheDestination) {
+  // Streets 0 - 1 - 2; shops 3 and 4 are isolated, so d'' is kUnreachable
+  // from both and only the walk check can reject the path.
+  graph::RoadNetwork net;
+  for (int i = 0; i < 5; ++i) net.add_node({static_cast<double>(i), 0.0});
+  net.add_two_way_edge(0, 1, 1.0);
+  net.add_two_way_edge(1, 2, 1.0);
+  for (const traffic::DetourMode mode :
+       {traffic::DetourMode::kAlongPath, traffic::DetourMode::kShortestPath}) {
+    const MultiShopDetour multi(net, {3, 4}, mode);
+    traffic::TrafficFlow flow;
+    flow.daily_vehicles = 1.0;
+    flow.origin = 0;
+    flow.destination = 2;
+    flow.path = {0, 2};  // no street 0 -> 2
+    std::vector<double> out(2);
+    EXPECT_THROW(multi.detours_into(flow, out), std::invalid_argument);
+    EXPECT_THROW((void)multi.detours_along_path(flow), std::invalid_argument);
+    flow.destination = 8;
+    flow.path = {1, 8};  // node 8 does not exist
+    EXPECT_THROW(multi.detours_into(flow, out), std::invalid_argument);
+    EXPECT_THROW((void)multi.detours_along_path(flow), std::invalid_argument);
+  }
 }
 
 TEST(MultiShopDetour, SingleShopMatchesCalculator) {

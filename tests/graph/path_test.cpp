@@ -83,6 +83,24 @@ TEST(CumulativeLengths, PrefixSums) {
   EXPECT_EQ(cumulative_lengths(net, path), (std::vector<double>{0.0, 1.0, 4.0}));
 }
 
+TEST(CumulativeLengths, RejectsNonWalksInTheSummingPass) {
+  const RoadNetwork net = testing::line_network(4);
+  const std::vector<NodeId> skip{0, 2};
+  const std::vector<NodeId> outside{1, 9};
+  const std::vector<NodeId> lone_outside{9};
+  const std::vector<NodeId> empty;
+  for (const auto& path : {skip, outside, lone_outside, empty}) {
+    EXPECT_THROW((void)cumulative_lengths(net, path), std::invalid_argument);
+    EXPECT_THROW((void)path_length(net, path), std::invalid_argument);
+  }
+  std::vector<double> out(2);
+  const std::vector<NodeId> walk{0, 1, 2};
+  EXPECT_THROW(cumulative_lengths_into(net, walk, out), std::invalid_argument);
+  out.resize(3);
+  cumulative_lengths_into(net, walk, out);
+  EXPECT_EQ(out, cumulative_lengths(net, walk));
+}
+
 TEST(CumulativeLengths, BackEqualsTotal) {
   util::Rng rng(71);
   const RoadNetwork net = testing::random_network(4, 4, 4, rng);

@@ -91,6 +91,29 @@ TEST(TelemetryIntegration, PipelineEmitsDocumentedSchema) {
             kK);
 }
 
+TEST(TelemetryIntegration, ModelBuildCountsFlowsAndIncidences) {
+  // The coverage-model build (traffic::IncidenceIndex) is its own span with
+  // work counters: flows indexed and (node, flow) stops kept after
+  // collapsing repeated path nodes.
+  const citygen::GridCity city({8, 8, 1.0, {0.0, 0.0}});
+  const traffic::LinearUtility utility(8.0);
+  Telemetry telemetry;
+  std::size_t stops = 0;
+  {
+    const TelemetryScope scope(telemetry);
+    const core::PlacementProblem problem = make_problem(city.network(), utility);
+    for (traffic::FlowIndex f = 0; f < problem.num_flows(); ++f) {
+      stops += problem.incidence().stops_of(f).size();
+    }
+  }
+  const auto& counters = telemetry.metrics.counters();
+  EXPECT_EQ(counters.at("incidence.flows").value(), 40U);
+  EXPECT_EQ(counters.at("incidence.entries").value(), stops);
+  EXPECT_GT(stops, 40U);
+  EXPECT_NE(to_json(telemetry).find(R"("name":"incidence_index")"),
+            std::string::npos);
+}
+
 TEST(TelemetryIntegration, ParallelRunnerMergesDeterministically) {
   static const citygen::GridCity city({8, 8, 1.0, {0.0, 0.0}});
   util::Rng rng(5);

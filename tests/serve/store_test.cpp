@@ -8,7 +8,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "src/graph/io.h"
 #include "src/serve/protocol.h"
@@ -128,8 +130,9 @@ TEST(ServeStore, DeltasWorkOnRehydratedScenarios) {
   Server restarted(store_options(dir));
   ASSERT_EQ(restarted.rehydrated_at_start(), 1U);
   (void)expect_ok(restarted, load_request(4));
-  // StoredDetours prices flows the segment never saw — the delta-added flow
-  // gets the same detours as the live calculator gave it.
+  // The calculator rebuilt from the stored d'/d'' arrays prices flows the
+  // segment never saw — the delta-added flow gets the same detours as the
+  // live calculator gave it.
   (void)expect_ok(
       restarted,
       R"({"op":"delta","ops":[{"kind":"add_flow","origin":0,"destination":5,"vehicles":20}]})");
@@ -251,6 +254,50 @@ TEST(ServeStore, DirectPutLoadRoundTrip) {
   const std::shared_ptr<const ServeScenario> reloaded = second.load(key);
   ASSERT_NE(reloaded, nullptr);
   EXPECT_EQ(reloaded->summary, built->summary);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dir2);
+}
+
+/// The bytes of the one segment file in `dir`.
+std::string only_segment_bytes(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  EXPECT_EQ(files.size(), 1U);
+  if (files.empty()) return {};
+  std::ifstream in(files.front(), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ServeStore, RehydratedDetoursAndSegmentsAreBitwise) {
+  const std::string dir = temp_store_dir("rebuilt");
+  const std::string dir2 = temp_store_dir("rebuilt2");
+  ScenarioSpec spec;
+  spec.city = "grid";
+  spec.seed = 12;
+  spec.journeys = 30;
+  const std::uint64_t key = scenario_key(spec);
+  const std::shared_ptr<const ServeScenario> built = build_scenario(spec, key);
+  ScenarioStore store(dir);
+  ASSERT_TRUE(store.put(*built));
+  const std::shared_ptr<const ServeScenario> loaded = store.load(key);
+  ASSERT_NE(loaded, nullptr);
+
+  // Every stored flow, and a flow the segment never saw, price bitwise like
+  // the live calculator.
+  std::vector<traffic::TrafficFlow> flows = built->flows;
+  flows.push_back(traffic::make_shortest_path_flow(
+      built->net, 0, static_cast<graph::NodeId>(built->net.num_nodes() - 1),
+      20.0));
+  for (const traffic::TrafficFlow& flow : flows) {
+    EXPECT_EQ(loaded->detours->detours_along_path(flow),
+              built->detours->detours_along_path(flow));
+  }
+  // Re-persisting the rehydrated scenario writes the same bytes.
+  ScenarioStore second(dir2);
+  ASSERT_TRUE(second.put(*loaded));
+  EXPECT_EQ(only_segment_bytes(dir2), only_segment_bytes(dir));
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(dir2);
 }

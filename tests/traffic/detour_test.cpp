@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "tests/testing/builders.h"
 
 namespace rap::traffic {
@@ -49,9 +52,9 @@ TEST(DetourCalculator, ShopOnRouteCostsNothing) {
 TEST(DetourCalculator, DistanceAccessors) {
   const Fig4 fig;
   const DetourCalculator calc(fig.net, Fig4::shop);
-  EXPECT_DOUBLE_EQ(calc.distance_to_shop(Fig4::V3), 2.0);
-  EXPECT_DOUBLE_EQ(calc.distance_from_shop(Fig4::V5), 3.0);
-  EXPECT_DOUBLE_EQ(calc.distance_to_shop(Fig4::V1), 0.0);
+  EXPECT_DOUBLE_EQ(calc.to_shop()[Fig4::V3], 2.0);
+  EXPECT_DOUBLE_EQ(calc.from_shop()[Fig4::V5], 3.0);
+  EXPECT_DOUBLE_EQ(calc.to_shop()[Fig4::V1], 0.0);
   EXPECT_EQ(calc.shop(), Fig4::shop);
 }
 
@@ -81,6 +84,76 @@ TEST(DetourCalculator, ValidatesFlow) {
   TrafficFlow bad = fig.flows[0];
   bad.path = {Fig4::V2, Fig4::V5};  // not a walk
   EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
+}
+
+/// Streets 0 - 1 - 2 (two-way) and an isolated shop at node 3, so the shop
+/// reaches no destination and every detour prices at kUnreachable.
+graph::RoadNetwork line_with_isolated_shop() {
+  graph::RoadNetwork net;
+  for (int i = 0; i < 4; ++i) net.add_node({static_cast<double>(i), 0.0});
+  net.add_two_way_edge(0, 1, 1.0);
+  net.add_two_way_edge(1, 2, 1.0);
+  return net;
+}
+
+TrafficFlow flow_along(std::vector<graph::NodeId> path) {
+  TrafficFlow flow;
+  flow.origin = path.front();
+  flow.destination = path.back();
+  flow.path = std::move(path);
+  flow.daily_vehicles = 1.0;
+  return flow;
+}
+
+TEST(DetourCalculator, WalkCheckRunsBeforeTheUnreachableDestinationExit) {
+  // d'' is kUnreachable for every destination, so a pricer that exits on
+  // d'' before checking the walk would accept these paths.
+  const graph::RoadNetwork net = line_with_isolated_shop();
+  for (const DetourMode mode :
+       {DetourMode::kAlongPath, DetourMode::kShortestPath}) {
+    const DetourCalculator calc(net, 3, mode);
+    std::vector<double> out(2);
+    const TrafficFlow skip = flow_along({0, 2});  // no street 0 -> 2
+    EXPECT_THROW(calc.detours_into(skip, out), std::invalid_argument);
+    EXPECT_THROW((void)calc.detours_along_path(skip), std::invalid_argument);
+    const TrafficFlow outside = flow_along({1, 7});  // node 7 does not exist
+    EXPECT_THROW(calc.detours_into(outside, out), std::invalid_argument);
+    EXPECT_THROW((void)calc.detours_along_path(outside), std::invalid_argument);
+    std::vector<double> one(1);
+    EXPECT_THROW(calc.detours_into(flow_along({9}), one),
+                 std::invalid_argument);
+    // A real walk prices, all kUnreachable.
+    EXPECT_EQ(calc.detours_along_path(flow_along({0, 1, 2})),
+              std::vector<double>(3, graph::kUnreachable));
+  }
+}
+
+TEST(DetourCalculator, DetoursIntoChecksTheOutputSize) {
+  const Fig4 fig;
+  const DetourCalculator calc(fig.net, Fig4::shop);
+  std::vector<double> short_out(fig.flows[0].path.size() - 1);
+  EXPECT_THROW(calc.detours_into(fig.flows[0], short_out),
+               std::invalid_argument);
+  std::vector<double> out(fig.flows[0].path.size());
+  calc.detours_into(fig.flows[0], out);
+  EXPECT_EQ(out, calc.detours_along_path(fig.flows[0]));
+}
+
+TEST(DetourCalculator, RebuiltFromItsDistanceArraysPricesBitwise) {
+  util::Rng rng(19);
+  const auto net = testing::random_network(6, 6, 10, rng);
+  const auto flows = testing::random_flows(net, 30, rng);
+  for (const DetourMode mode :
+       {DetourMode::kAlongPath, DetourMode::kShortestPath}) {
+    const DetourCalculator live(net, 4, mode);
+    const DetourCalculator rebuilt(net, 4, live.to_shop(), live.from_shop(),
+                                   mode);
+    for (const TrafficFlow& flow : flows) {
+      EXPECT_EQ(rebuilt.detours_along_path(flow),
+                live.detours_along_path(flow));
+    }
+  }
+  EXPECT_THROW(DetourCalculator(net, 4, {1.0}, {1.0}), std::invalid_argument);
 }
 
 TEST(DetourCalculator, ModesAgreeOnShortestPathFlows) {
