@@ -64,7 +64,7 @@ void check_detours(const Scenario& scenario,
   }
 }
 
-/// The coverage index assembled independently of traffic::IncidenceIndex:
+/// The coverage index assembled independently of the production build:
 /// per-flow detour vectors from the reference pricer, duplicate path nodes
 /// collapsed by a linear search of the flow's stops, and the node view
 /// appended flow by flow instead of transposed from CSR offsets.
@@ -123,10 +123,10 @@ std::vector<traffic::TrafficFlow> revisiting_flows(const Scenario& scenario) {
   return flows;
 }
 
-/// The production index against the reference index — exact equality of
-/// stops_of, at_node, passing_vehicles and passing_flow_count.
+/// The production model against the reference index — exact equality of
+/// stops_of, reach_at, passing_vehicles and passing_flow_count.
 void check_incidence(const ReferenceIndex& want,
-                     const traffic::IncidenceIndex& got,
+                     const core::PlacementProblem& got,
                      const std::string& check_name, OracleFuzzReport& report) {
   ++report.checks_run;
   if (got.num_flows() != want.stops.size() ||
@@ -135,7 +135,7 @@ void check_incidence(const ReferenceIndex& want,
     return;
   }
   for (traffic::FlowIndex f = 0; f < got.num_flows(); ++f) {
-    if (!std::ranges::equal(got.stops_of(f), want.stops[f])) {
+    if (!std::ranges::equal(got.incidence().stops_of(f), want.stops[f])) {
       report.failures.push_back(
           {check_name, "stops_of(" + std::to_string(f) + ") differs"});
       return;
@@ -143,8 +143,8 @@ void check_incidence(const ReferenceIndex& want,
   }
   for (graph::NodeId v = 0; v < got.num_nodes(); ++v) {
     std::string what;
-    if (!std::ranges::equal(got.at_node(v), want.at_node[v])) {
-      what = "at_node";
+    if (!std::ranges::equal(got.reach_at(v), want.at_node[v])) {
+      what = "reach_at";
     } else if (got.passing_vehicles(v) != want.vehicles[v]) {
       what = "passing_vehicles";
     } else if (got.passing_flow_count(v) != want.at_node[v].size()) {
@@ -208,29 +208,28 @@ OracleFuzzReport fuzz_oracle_one(std::uint64_t seed,
                   std::string("detours_") + mode_name, report);
   }
 
-  // Coverage-model parity: the production index (the one-pass build inside
-  // PlacementProblem, an index priced in kShortestPath mode, and one over
-  // paths that revisit nodes) against one assembled from the reference's
-  // per-flow vectors.
+  // Coverage-model parity: the production model (as the serve layer builds
+  // it, one priced in kShortestPath mode, and one over paths that revisit
+  // nodes) against an index assembled from the reference's per-flow
+  // vectors.
   const std::unique_ptr<core::PlacementProblem> production =
       build_production_problem(*scenario);
+  const traffic::UtilityFunction& utility = *scenario->utility;
   const ReferenceDetours along(net, scenario->shop);
-  check_incidence(reference_index(net, scenario->flows, along),
-                  production->incidence(), "incidence_along", report);
+  check_incidence(reference_index(net, scenario->flows, along), *production,
+                  "incidence_along", report);
   check_incidence(
       reference_index(net, scenario->flows,
                       ReferenceDetours(net, scenario->shop,
                                        traffic::DetourMode::kShortestPath)),
-      traffic::IncidenceIndex(
-          net, scenario->flows,
-          traffic::DetourCalculator(net, scenario->shop,
-                                    traffic::DetourMode::kShortestPath)),
+      core::PlacementProblem(net, scenario->flows, scenario->shop, utility,
+                             traffic::DetourMode::kShortestPath),
       "incidence_shortest", report);
   const std::vector<traffic::TrafficFlow> revisiting =
       revisiting_flows(*scenario);
   check_incidence(
       reference_index(net, revisiting, along),
-      traffic::IncidenceIndex(net, revisiting, production->detours()),
+      core::PlacementProblem(net, revisiting, scenario->shop, utility),
       "incidence_revisits", report);
 
   // Placement parity: the same algorithms over the production problem and

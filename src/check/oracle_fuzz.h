@@ -5,8 +5,8 @@
 // exact `==`:
 //   * DetourCalculator prices every flow like ReferenceDetours, in both
 //     detour modes;
-//   * the coverage index (traffic::IncidenceIndex: stops per flow, flows
-//     per node, passing vehicles and flow counts) equals one assembled from
+//   * the coverage model of a PlacementProblem (stops per flow, flows per
+//     node, passing vehicles and flow counts) equals one assembled from
 //     the reference's per-flow vectors, in both detour modes and on
 //     paths that revisit nodes;
 //   * lazy and composite greedy place identically (nodes and objective) on

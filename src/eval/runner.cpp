@@ -133,21 +133,19 @@ ExperimentResult run_experiment(const Workload& workload,
     const graph::NodeId shop = shop_pool[rng.next_below(shop_pool.size())];
 
     // Build the coverage model for this repetition's shop.
-    std::unique_ptr<core::CoverageModel> owned;
-    const manhattan::FlexibleProblem* flexible = nullptr;
+    std::optional<manhattan::FlexibleProblem> flexible;
+    std::optional<core::PlacementProblem> fixed;
     {
       const obs::Span span("model_build");
       if (config.manhattan_scenario) {
-        auto fp = std::make_unique<manhattan::FlexibleProblem>(
-            *workload.net, workload.flows, shop, *utility);
-        flexible = fp.get();
-        owned = std::move(fp);
+        flexible.emplace(*workload.net, workload.flows, shop, *utility);
       } else {
-        owned = std::make_unique<core::PlacementProblem>(
-            *workload.net, workload.flows, shop, *utility, config.detour_mode);
+        fixed.emplace(*workload.net, workload.flows, shop, *utility,
+                      config.detour_mode);
       }
     }
-    const core::CoverageModel& model = *owned;
+    const core::CoverageModel& model =
+        flexible ? static_cast<const core::CoverageModel&>(*flexible) : *fixed;
     const geo::BBox region = geo::BBox::centered_square(
         workload.net->position(shop), config.range);
 

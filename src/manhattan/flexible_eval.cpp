@@ -1,11 +1,10 @@
 #include "src/manhattan/flexible_eval.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "src/graph/dijkstra.h"
+#include "src/obs/telemetry.h"
 
 namespace rap::manhattan {
 namespace {
@@ -18,103 +17,59 @@ FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
                                  std::vector<traffic::TrafficFlow> flows,
                                  graph::NodeId shop,
                                  const traffic::UtilityFunction& utility)
-    : net_(&net), flows_(std::move(flows)), shop_(shop), utility_(&utility) {
+    : CoverageModel(net, utility, shop), flows_(std::move(flows)) {
+  const obs::Span span("incidence_index");
   net.check_node(shop);
   for (const traffic::TrafficFlow& flow : flows_) {
     traffic::validate_flow(net, flow);
   }
   const std::size_t n = net.num_nodes();
-  const graph::ShortestPathTree to_shop =
-      graph::dijkstra(net, shop, graph::Direction::kReverse);
-  const graph::ShortestPathTree from_shop =
-      graph::dijkstra(net, shop, graph::Direction::kForward);
+  const std::vector<double> to_shop =
+      graph::shortest_distances(net, shop, graph::Direction::kReverse);
+  const std::vector<double> from_shop =
+      graph::shortest_distances(net, shop, graph::Direction::kForward);
 
-  // Dijkstra caches keyed by endpoint: many flows share origins/destinations.
-  std::unordered_map<graph::NodeId, graph::ShortestPathTree> from_origin;
-  std::unordered_map<graph::NodeId, graph::ShortestPathTree> to_destination;
-  const auto forward_tree = [&](graph::NodeId origin)
-      -> const graph::ShortestPathTree& {
-    const auto it = from_origin.find(origin);
-    if (it != from_origin.end()) return it->second;
-    return from_origin
-        .emplace(origin, graph::dijkstra(net, origin, graph::Direction::kForward))
-        .first->second;
-  };
-  const auto reverse_tree = [&](graph::NodeId destination)
-      -> const graph::ShortestPathTree& {
-    const auto it = to_destination.find(destination);
-    if (it != to_destination.end()) return it->second;
-    return to_destination
-        .emplace(destination,
-                 graph::dijkstra(net, destination, graph::Direction::kReverse))
+  // Distance arrays cached by endpoint: many flows share origins/destinations.
+  std::unordered_map<graph::NodeId, std::vector<double>> from_origin;
+  std::unordered_map<graph::NodeId, std::vector<double>> to_destination;
+  const auto cached = [&](auto& cache, graph::NodeId source,
+                          graph::Direction direction)
+      -> const std::vector<double>& {
+    const auto it = cache.find(source);
+    if (it != cache.end()) return it->second;
+    return cache
+        .emplace(source, graph::shortest_distances(net, source, direction))
         .first->second;
   };
 
-  // Collect (node, flow, detour) triples over shortest-path-DAG membership.
-  struct Triple {
-    graph::NodeId node;
-    traffic::NodeIncidence incidence;
-  };
-  std::vector<Triple> triples;
-  vehicles_at_node_.assign(n, 0.0);
+  // Each flow reaches every node of its shortest-path DAG.
+  std::vector<std::uint32_t> flow_start(flows_.size() + 1, 0);
+  std::vector<traffic::FlowStop> stops;
   for (traffic::FlowIndex f = 0; f < flows_.size(); ++f) {
+    flow_start[f] = static_cast<std::uint32_t>(stops.size());
     const traffic::TrafficFlow& flow = flows_[f];
-    const graph::ShortestPathTree& fwd = forward_tree(flow.origin);
-    const graph::ShortestPathTree& rev = reverse_tree(flow.destination);
-    const double total = fwd.distance(flow.destination);
+    const std::vector<double>& fwd =
+        cached(from_origin, flow.origin, graph::Direction::kForward);
+    const std::vector<double>& rev =
+        cached(to_destination, flow.destination, graph::Direction::kReverse);
+    const double total = fwd[flow.destination];
     if (total == graph::kUnreachable) continue;  // isolated OD: unreachable
-    const double shop_to_dest = from_shop.distance(flow.destination);
+    const double shop_to_dest = from_shop[flow.destination];
     for (graph::NodeId v = 0; v < n; ++v) {
-      const double a = fwd.distance(v);
-      const double b = rev.distance(v);
+      const double a = fwd[v];
+      const double b = rev[v];
       if (a == graph::kUnreachable || b == graph::kUnreachable) continue;
       if (a + b > total + kTol * (1.0 + total)) continue;  // not on the DAG
-      vehicles_at_node_[v] += flow.daily_vehicles;
-      const double to_shop_dist = to_shop.distance(v);
       double detour = graph::kUnreachable;
-      if (to_shop_dist != graph::kUnreachable &&
+      if (to_shop[v] != graph::kUnreachable &&
           shop_to_dest != graph::kUnreachable) {
-        detour = std::max(0.0, to_shop_dist + shop_to_dest - b);
+        detour = std::max(0.0, to_shop[v] + shop_to_dest - b);
       }
-      triples.push_back({v, {f, detour}});
+      stops.push_back({v, 0, detour});
     }
   }
-
-  node_start_.assign(n + 1, 0);
-  for (const Triple& t : triples) ++node_start_[t.node + 1];
-  for (std::size_t v = 1; v <= n; ++v) node_start_[v] += node_start_[v - 1];
-  node_entries_.resize(triples.size());
-  std::vector<std::uint32_t> cursor(node_start_.begin(), node_start_.end() - 1);
-  for (const Triple& t : triples) {
-    node_entries_[cursor[t.node]++] = t.incidence;
-  }
-}
-
-std::span<const traffic::NodeIncidence> FlexibleProblem::reach_at(
-    graph::NodeId node) const {
-  net_->check_node(node);
-  return {node_entries_.data() + node_start_[node],
-          node_entries_.data() + node_start_[node + 1]};
-}
-
-double FlexibleProblem::customers(traffic::FlowIndex flow,
-                                  double detour) const {
-  if (flow >= flows_.size()) {
-    throw std::out_of_range("FlexibleProblem::customers: bad flow index");
-  }
-  if (std::isinf(detour)) return 0.0;
-  const traffic::TrafficFlow& f = flows_[flow];
-  return utility_->probability(detour, f.alpha) * f.population();
-}
-
-double FlexibleProblem::passing_vehicles(graph::NodeId node) const {
-  net_->check_node(node);
-  return vehicles_at_node_[node];
-}
-
-std::size_t FlexibleProblem::passing_flow_count(graph::NodeId node) const {
-  net_->check_node(node);
-  return node_start_[node + 1] - node_start_[node];
+  flow_start.back() = static_cast<std::uint32_t>(stops.size());
+  assemble(std::span<const traffic::TrafficFlow>(flows_), flow_start, stops);
 }
 
 }  // namespace rap::manhattan

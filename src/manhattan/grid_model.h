@@ -5,7 +5,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "src/core/problem.h"
 #include "src/manhattan/grid_scenario.h"
@@ -14,30 +13,11 @@ namespace rap::manhattan {
 
 class GridCoverageModel final : public core::CoverageModel {
  public:
-  /// `scenario`, `flows` and `utility` must outlive the model.
+  /// `scenario`, `flows` and `utility` must outlive the model. Runs under
+  /// the obs span "incidence_index".
   GridCoverageModel(const GridScenario& scenario,
                     std::span<const GridFlow> flows,
                     const traffic::UtilityFunction& utility);
-
-  [[nodiscard]] const graph::RoadNetwork& network() const noexcept override {
-    return scenario_->city().network();
-  }
-  [[nodiscard]] const traffic::UtilityFunction& utility() const noexcept override {
-    return *utility_;
-  }
-  [[nodiscard]] graph::NodeId shop() const noexcept override {
-    return shop_node_;
-  }
-  [[nodiscard]] std::size_t num_flows() const noexcept override {
-    return flows_.size();
-  }
-  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const override;
-  [[nodiscard]] double customers(traffic::FlowIndex flow,
-                                 double detour) const override;
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const override;
-  [[nodiscard]] std::size_t passing_flow_count(
-      graph::NodeId node) const override;
 
   [[nodiscard]] const GridScenario& scenario() const noexcept {
     return *scenario_;
@@ -49,12 +29,6 @@ class GridCoverageModel final : public core::CoverageModel {
  private:
   const GridScenario* scenario_;
   std::span<const GridFlow> flows_;
-  const traffic::UtilityFunction* utility_;
-  graph::NodeId shop_node_;
-
-  std::vector<std::uint32_t> node_start_;
-  std::vector<traffic::NodeIncidence> node_entries_;
-  std::vector<double> vehicles_at_node_;
 };
 
 }  // namespace rap::manhattan

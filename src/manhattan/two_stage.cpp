@@ -8,7 +8,6 @@
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
-#include "src/core/filtered.h"
 #include "src/core/k_policy.h"
 #include "src/core/lazy_greedy.h"
 #include "src/manhattan/flow_class.h"
@@ -110,7 +109,8 @@ core::PlacementResult two_stage_grid_placement(const GridCoverageModel& model,
   state.add(city.node_at(corner_stage_coord(0, last)));
   state.add(city.node_at(corner_stage_coord(last, last)));
 
-  const core::FilteredCoverageModel straight(model, straight_mask_grid(model));
+  const core::CoverageModel straight =
+      core::filter_flows(model, straight_mask_grid(model));
   core::PlacementState straight_state(straight);
   for (const graph::NodeId v : state.placement()) straight_state.add(v);
   greedy_extend(straight_state, k - state.placement().size());
@@ -144,7 +144,7 @@ core::PlacementResult two_stage_network_placement(
     if (node != graph::kInvalidNode) state.add(node);
   }
 
-  const core::FilteredCoverageModel straight(
+  const core::CoverageModel straight = core::filter_flows(
       model, straight_mask_network(model, region, options.alignment_tol));
   core::PlacementState straight_state(straight);
   for (const graph::NodeId v : state.placement()) straight_state.add(v);

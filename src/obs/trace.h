@@ -124,7 +124,4 @@ class Span {
   std::string recorded_name_;  // non-empty iff a begin event was recorded
 };
 
-/// Alias kept for call sites that read better as a timer than a trace span.
-using ScopedTimer = Span;
-
 }  // namespace rap::obs

@@ -1,22 +1,17 @@
-// Node/flow incidence index: which flows pass which intersections and at
-// what detour distance. Built once per (network, flows, shop) triple, it is
-// the data structure every placement algorithm and baseline consumes:
-//   * at_node(v)  — the flows passing v with their detour distance at v
-//                   (the marginal-gain scan of Algorithms 1 and 2),
-//   * stops_of(f) — the intersections of flow f in path order with detours
-//                   (non-decreasing by Theorem 1 on shortest-path flows),
-//   * passing_vehicles / passing_flow_count — the MaxVehicles and
-//     MaxCardinality baseline rankings.
+// Flow-major incidence index of the fixed-path scenario: the distinct
+// intersections of each flow's path, in path order, with the detour a RAP
+// there offers the flow (non-decreasing by Theorem 1 on shortest-path
+// flows). core::PlacementProblem builds it and hands its stops to the
+// coverage model as (node, flow, detour) triples; the node-major half
+// (flows per node, passing vehicles and flow counts) lives in
+// core::CoverageModel.
 //
-// This is the coverage-model build, and it is one walk per flow: the
-// constructor checks the flow's fields (validate_flow_fields), prices its
-// path into a reused buffer with DetourSource::detours_into — whose walk
-// check completes the validation, so each flow is validated exactly once —
-// and appends the flow's collapsed stops straight to the flow CSR array,
-// reserved once for every path node, while counting the node CSR offsets.
-// A transpose then fills the node CSR array. No per-flow table is
-// allocated. The build runs under the obs span "incidence_index" with the
-// counters incidence.flows and incidence.entries (stops after collapsing).
+// The build is one walk per flow: the constructor checks the flow's fields
+// (validate_flow_fields), prices its path into a reused buffer with
+// DetourSource::detours_into — whose walk check completes the validation,
+// so each flow is validated exactly once — and appends the flow's
+// collapsed stops straight to the flow CSR array, reserved once for every
+// path node. No per-flow table is allocated.
 #pragma once
 
 #include <span>
@@ -36,7 +31,9 @@ struct NodeIncidence {
 
 struct FlowStop {
   graph::NodeId node = graph::kInvalidNode;
-  std::uint32_t path_index = 0;  ///< first position of `node` on the path
+  /// First position of `node` on the flow's path (0 in the flexible-route
+  /// models, which have no fixed path).
+  std::uint32_t path_index = 0;
   double detour = graph::kUnreachable;
 
   friend bool operator==(const FlowStop&, const FlowStop&) = default;
@@ -50,35 +47,25 @@ class IncidenceIndex {
                  const std::vector<TrafficFlow>& flows,
                  const DetourSource& detours);
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return node_start_.size() - 1;
-  }
   [[nodiscard]] std::size_t num_flows() const noexcept {
     return flow_start_.size() - 1;
   }
 
-  /// Flows passing `node`, each with its (minimum) detour distance there.
-  [[nodiscard]] std::span<const NodeIncidence> at_node(graph::NodeId node) const;
-
   /// Distinct intersections of flow `flow` in path order with detours.
   [[nodiscard]] std::span<const FlowStop> stops_of(FlowIndex flow) const;
 
-  /// Total daily vehicles passing `node` (MaxVehicles ranking).
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const;
-
-  /// Number of distinct flows passing `node` (MaxCardinality ranking).
-  [[nodiscard]] std::size_t passing_flow_count(graph::NodeId node) const;
+  /// The whole CSR: flow f's stops are stops()[k] for flow_start()[f] <= k
+  /// < flow_start()[f + 1].
+  [[nodiscard]] std::span<const std::uint32_t> flow_start() const noexcept {
+    return flow_start_;
+  }
+  [[nodiscard]] std::span<const FlowStop> stops() const noexcept {
+    return flow_entries_;
+  }
 
  private:
-  void check_node(graph::NodeId node) const;
-  void check_flow(FlowIndex flow) const;
-
-  // CSR layouts.
-  std::vector<std::uint32_t> node_start_;
-  std::vector<NodeIncidence> node_entries_;
   std::vector<std::uint32_t> flow_start_;
   std::vector<FlowStop> flow_entries_;
-  std::vector<double> vehicles_at_node_;
 };
 
 }  // namespace rap::traffic

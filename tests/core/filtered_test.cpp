@@ -1,9 +1,9 @@
-#include "src/core/filtered.h"
-
+// filter_flows: a coverage model restricted to a subset of flows.
 #include <gtest/gtest.h>
 
 #include "src/core/evaluator.h"
 #include "src/core/greedy.h"
+#include "src/core/problem.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -23,7 +23,8 @@ class FilteredFig4 : public ::testing::Test {
 };
 
 TEST_F(FilteredFig4, AllActiveEqualsBase) {
-  const FilteredCoverageModel filtered(problem_, std::vector<bool>(4, true));
+  const CoverageModel filtered =
+      filter_flows(problem_, std::vector<bool>(4, true));
   for (graph::NodeId v = 0; v < 6; ++v) {
     EXPECT_EQ(filtered.reach_at(v).size(), problem_.reach_at(v).size());
     EXPECT_EQ(filtered.passing_flow_count(v), problem_.passing_flow_count(v));
@@ -34,7 +35,8 @@ TEST_F(FilteredFig4, AllActiveEqualsBase) {
 }
 
 TEST_F(FilteredFig4, NoneActiveIsZero) {
-  const FilteredCoverageModel filtered(problem_, std::vector<bool>(4, false));
+  const CoverageModel filtered =
+      filter_flows(problem_, std::vector<bool>(4, false));
   const Placement nodes{Fig4::V3, Fig4::V5};
   EXPECT_DOUBLE_EQ(evaluate_placement(filtered, nodes), 0.0);
   for (graph::NodeId v = 0; v < 6; ++v) {
@@ -46,7 +48,7 @@ TEST_F(FilteredFig4, SubsetCountsOnlyActiveFlows) {
   // Keep only T(2,5) (index 0).
   std::vector<bool> mask(4, false);
   mask[0] = true;
-  const FilteredCoverageModel filtered(problem_, mask);
+  const CoverageModel filtered = filter_flows(problem_, mask);
   const Placement nodes{Fig4::V3, Fig4::V5};
   EXPECT_DOUBLE_EQ(evaluate_placement(filtered, nodes), 6.0);
   EXPECT_EQ(filtered.passing_flow_count(Fig4::V3), 1u);
@@ -57,7 +59,7 @@ TEST_F(FilteredFig4, SubsetCountsOnlyActiveFlows) {
 TEST_F(FilteredFig4, FlowIndicesPreserved) {
   std::vector<bool> mask(4, false);
   mask[2] = true;  // T(4,3)
-  const FilteredCoverageModel filtered(problem_, mask);
+  const CoverageModel filtered = filter_flows(problem_, mask);
   EXPECT_EQ(filtered.num_flows(), 4u);
   const auto at_v3 = filtered.reach_at(Fig4::V3);
   ASSERT_EQ(at_v3.size(), 1u);
@@ -65,20 +67,37 @@ TEST_F(FilteredFig4, FlowIndicesPreserved) {
 }
 
 TEST_F(FilteredFig4, MetadataForwarded) {
-  const FilteredCoverageModel filtered(problem_, std::vector<bool>(4, true));
+  const CoverageModel filtered =
+      filter_flows(problem_, std::vector<bool>(4, true));
   EXPECT_EQ(&filtered.network(), &problem_.network());
   EXPECT_EQ(&filtered.utility(), &problem_.utility());
   EXPECT_EQ(filtered.shop(), problem_.shop());
   EXPECT_DOUBLE_EQ(filtered.passing_vehicles(Fig4::V3), 15.0);
 }
 
+TEST_F(FilteredFig4, SubsetMaskFiltersFlowCountsButNotVehicles) {
+  // Keep only T(4,3) (index 2). V3 is on T(2,5), T(3,5) and T(4,3): the
+  // flow count follows the mask, the vehicle count stays the base's.
+  std::vector<bool> mask(4, false);
+  mask[2] = true;
+  const CoverageModel filtered = filter_flows(problem_, mask);
+  EXPECT_EQ(problem_.passing_flow_count(Fig4::V3), 3u);
+  EXPECT_EQ(filtered.passing_flow_count(Fig4::V3), 1u);
+  EXPECT_EQ(filtered.passing_flow_count(Fig4::V5), 0u);
+  for (graph::NodeId v = 0; v < 6; ++v) {
+    EXPECT_EQ(filtered.passing_vehicles(v), problem_.passing_vehicles(v));
+  }
+  EXPECT_EQ(filtered.passing_vehicles(Fig4::V3), 15.0);
+}
+
 TEST_F(FilteredFig4, SizeMismatchThrows) {
-  EXPECT_THROW(FilteredCoverageModel(problem_, std::vector<bool>(3, true)),
+  EXPECT_THROW(filter_flows(problem_, std::vector<bool>(3, true)),
                std::invalid_argument);
 }
 
 TEST_F(FilteredFig4, CustomersBoundsChecked) {
-  const FilteredCoverageModel filtered(problem_, std::vector<bool>(4, true));
+  const CoverageModel filtered =
+      filter_flows(problem_, std::vector<bool>(4, true));
   EXPECT_THROW(filtered.customers(4, 0.0), std::out_of_range);
 }
 
@@ -87,7 +106,7 @@ TEST_F(FilteredFig4, GreedyOnFilteredModelIgnoresMaskedFlows) {
   // only node covering it within D).
   std::vector<bool> mask(4, false);
   mask[3] = true;
-  const FilteredCoverageModel filtered(problem_, mask);
+  const CoverageModel filtered = filter_flows(problem_, mask);
   const PlacementResult result = greedy_coverage_placement(filtered, 2);
   EXPECT_EQ(result.nodes, Placement{Fig4::V5});
   EXPECT_DOUBLE_EQ(result.customers, 2.0);

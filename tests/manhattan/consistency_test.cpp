@@ -68,7 +68,7 @@ TEST_P(GridVsFlexible, IdenticalReachSetsAndDetours) {
     ASSERT_EQ(a.size(), b.size()) << "node " << v;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].first, b[i].first) << "node " << v;
-      EXPECT_NEAR(a[i].second, b[i].second, 1e-9) << "node " << v;
+      EXPECT_EQ(a[i].second, b[i].second) << "node " << v;
     }
   }
 }
@@ -83,9 +83,8 @@ TEST_P(GridVsFlexible, IdenticalPlacementValues) {
       placement.push_back(static_cast<graph::NodeId>(
           rng.next_below(twins.grid_model->num_nodes())));
     }
-    EXPECT_NEAR(core::evaluate_placement(*twins.grid_model, placement),
-                core::evaluate_placement(*twins.flexible_model, placement),
-                1e-9);
+    EXPECT_EQ(core::evaluate_placement(*twins.grid_model, placement),
+              core::evaluate_placement(*twins.flexible_model, placement));
   }
 }
 
@@ -97,14 +96,14 @@ TEST_P(GridVsFlexible, IdenticalAlgorithmOutputs) {
     const auto flex_alg1 =
         core::greedy_coverage_placement(*twins.flexible_model, k);
     EXPECT_EQ(grid_alg1.nodes, flex_alg1.nodes) << "k=" << k;
-    EXPECT_NEAR(grid_alg1.customers, flex_alg1.customers, 1e-9);
+    EXPECT_EQ(grid_alg1.customers, flex_alg1.customers);
 
     const auto grid_alg2 =
         core::composite_greedy_placement(*twins.grid_model, k);
     const auto flex_alg2 =
         core::composite_greedy_placement(*twins.flexible_model, k);
     EXPECT_EQ(grid_alg2.nodes, flex_alg2.nodes) << "k=" << k;
-    EXPECT_NEAR(grid_alg2.customers, flex_alg2.customers, 1e-9);
+    EXPECT_EQ(grid_alg2.customers, flex_alg2.customers);
   }
 }
 
@@ -114,8 +113,8 @@ TEST_P(GridVsFlexible, IdenticalPassingCounts) {
     EXPECT_EQ(twins.grid_model->passing_flow_count(v),
               twins.flexible_model->passing_flow_count(v))
         << "node " << v;
-    EXPECT_NEAR(twins.grid_model->passing_vehicles(v),
-                twins.flexible_model->passing_vehicles(v), 1e-9)
+    EXPECT_EQ(twins.grid_model->passing_vehicles(v),
+              twins.flexible_model->passing_vehicles(v))
         << "node " << v;
   }
 }

@@ -56,14 +56,23 @@ TEST(FlexibleProblem, EqualsFixedPathModelOnUniquePathNetworks) {
   const traffic::LinearUtility utility(10.0);
   const core::PlacementProblem fixed(net, flows, 3, utility);
   const FlexibleProblem flexible(net, flows, 3, utility);
+  for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
+    const auto want = fixed.reach_at(v);
+    const auto got = flexible.reach_at(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].flow, want[i].flow) << "node " << v;
+      EXPECT_EQ(got[i].detour, want[i].detour) << "node " << v;
+    }
+  }
   util::Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     core::Placement placement;
     for (int i = 0; i < 3; ++i) {
       placement.push_back(static_cast<graph::NodeId>(rng.next_below(8)));
     }
-    EXPECT_NEAR(core::evaluate_placement(fixed, placement),
-                core::evaluate_placement(flexible, placement), 1e-9);
+    EXPECT_EQ(core::evaluate_placement(fixed, placement),
+              core::evaluate_placement(flexible, placement));
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
-#include "src/core/filtered.h"
 #include "src/manhattan/flow_class.h"
 #include "src/obs/telemetry.h"
 
@@ -133,8 +132,8 @@ TEST(TwoStageGrid, Theorem3RatioOnStraightAndTurnedFlows) {
   const auto flows = mixed_flows(scenario, 14, 6);
   const traffic::ThresholdUtility utility(2.0 * scenario.side());
   const GridCoverageModel model(scenario, flows, utility);
-  const core::FilteredCoverageModel filtered(
-      model, straight_turned_mask(scenario, flows));
+  const core::CoverageModel filtered =
+      core::filter_flows(model, straight_turned_mask(scenario, flows));
 
   const std::size_t k = 6;
   const auto placement =
@@ -253,8 +252,8 @@ TEST(TwoStageGrid, Theorem4RatioOnStraightAndTurnedFlows) {
     const auto flows = mixed_flows(scenario, 12, seed);
     const traffic::LinearUtility utility(scenario.side());
     const GridCoverageModel model(scenario, flows, utility);
-    const core::FilteredCoverageModel filtered(
-        model, straight_turned_mask(scenario, flows));
+    const core::CoverageModel filtered =
+        core::filter_flows(model, straight_turned_mask(scenario, flows));
     const std::size_t k = 6;
     const auto placement =
         two_stage_grid_placement(model, k, TwoStageVariant::kMidpoints);

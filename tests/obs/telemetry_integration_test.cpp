@@ -14,6 +14,7 @@
 #include "src/core/lazy_greedy.h"
 #include "src/core/problem.h"
 #include "src/eval/runner.h"
+#include "src/manhattan/flexible_eval.h"
 #include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 #include "src/traffic/utility.h"
@@ -92,9 +93,9 @@ TEST(TelemetryIntegration, PipelineEmitsDocumentedSchema) {
 }
 
 TEST(TelemetryIntegration, ModelBuildCountsFlowsAndIncidences) {
-  // The coverage-model build (traffic::IncidenceIndex) is its own span with
-  // work counters: flows indexed and (node, flow) stops kept after
-  // collapsing repeated path nodes.
+  // Every coverage-model build is its own span with work counters: flows
+  // indexed and (node, flow) entries kept after collapsing repeated path
+  // nodes. A filter_flows copy builds nothing and records neither.
   const citygen::GridCity city({8, 8, 1.0, {0.0, 0.0}});
   const traffic::LinearUtility utility(8.0);
   Telemetry telemetry;
@@ -111,6 +112,31 @@ TEST(TelemetryIntegration, ModelBuildCountsFlowsAndIncidences) {
   EXPECT_EQ(counters.at("incidence.entries").value(), stops);
   EXPECT_GT(stops, 40U);
   EXPECT_NE(to_json(telemetry).find(R"("name":"incidence_index")"),
+            std::string::npos);
+
+  Telemetry flexible_telemetry;
+  Telemetry filter_telemetry;
+  std::size_t entries = 0;
+  {
+    const TelemetryScope scope(flexible_telemetry);
+    util::Rng rng(11);
+    const manhattan::FlexibleProblem flexible(
+        city.network(), testing::random_flows(city.network(), 40, rng, 0.5),
+        0, utility);
+    for (graph::NodeId v = 0; v < flexible.num_nodes(); ++v) {
+      entries += flexible.reach_at(v).size();
+    }
+    const TelemetryScope filter_scope(filter_telemetry);
+    (void)core::filter_flows(flexible, std::vector<bool>(40, true));
+  }
+  const auto& flexible_counters = flexible_telemetry.metrics.counters();
+  EXPECT_EQ(flexible_counters.at("incidence.flows").value(), 40U);
+  EXPECT_EQ(flexible_counters.at("incidence.entries").value(), entries);
+  EXPECT_GE(entries, stops);  // every fixed path lies on its DAG
+  EXPECT_NE(to_json(flexible_telemetry).find(R"("name":"incidence_index")"),
+            std::string::npos);
+  EXPECT_TRUE(filter_telemetry.metrics.counters().empty());
+  EXPECT_EQ(to_json(filter_telemetry).find("incidence_index"),
             std::string::npos);
 }
 

@@ -49,11 +49,11 @@ const std::set<std::string, std::less<>> kTelemetryApis = {
     "add_counter",       "set_gauge",
     "observe",           "counter",
     "gauge",             "histogram",
-    "Span",              "ScopedTimer",
-    "record_span_begin", "record_span_end",
-    "record_counter_event", "record_instant"};
+    "Span",              "record_span_begin",
+    "record_span_end",   "record_counter_event",
+    "record_instant"};
 
-const std::set<std::string, std::less<>> kSpanCtors = {"Span", "ScopedTimer"};
+const std::set<std::string, std::less<>> kSpanCtors = {"Span"};
 
 /// rap.telemetry.v1 name grammar: [a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*
 [[nodiscard]] bool valid_telemetry_name(std::string_view name) {
@@ -388,7 +388,7 @@ class Linter {
                "segments only");
   }
 
-  /// Validates whole-literal arguments of a Span/ScopedTimer constructor:
+  /// Validates whole-literal arguments of a Span constructor:
   /// string tokens at paren depth 1 bounded by '(' or ',' on the left and
   /// ',' or ')' on the right (concatenations are runtime names — skipped).
   void check_span_args(std::size_t open) {
